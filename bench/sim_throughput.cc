@@ -20,14 +20,9 @@
  *    pointer-chase) driven through SimEngine, the end-to-end rate a
  *    campaign sweep experiences.
  *
- * A third section (schema v3) sweeps the per-core parallel drain: the
- * multi-core workload partitioned across four simulated cores, drained
- * on 1/2/4/8 host threads via kernels::runPartitionedParallel. The
- * counters are bit-identical across thread counts by construction, so
- * the sweep records only the wall-clock scaling; it is excluded from
- * the speedup geomeans. Every measurement is best-of-N timed windows
- * (N=3, 2 under $RFL_FAST) so host scheduling noise cannot put a
- * spurious regression in the committed trajectory.
+ * Every measurement is best-of-N timed windows (N=3, 2 under
+ * $RFL_FAST) so host scheduling noise cannot put a spurious regression
+ * in the committed trajectory.
  *
  * Output: a human-readable table on stdout and a JSON trajectory file
  * (default ./BENCH_sim_throughput.json, override with argv[1]).
@@ -43,7 +38,6 @@
 
 #include "bench_common.hh"
 #include "kernels/engine.hh"
-#include "kernels/parallel_drain.hh"
 #include "kernels/registry.hh"
 #include "sim/machine.hh"
 #include "support/address_arena.hh"
@@ -178,53 +172,6 @@ measure(const Workload &w, Mode mode, double min_seconds, int trials)
     return best;
 }
 
-/**
- * One row of the parallel-drain scaling sweep: the multi-core workload
- * partitioned across @p cores, its per-core streams drained on
- * @p threads host threads (kernels::runPartitionedParallel). Counters
- * are bit-identical for every thread count — this measures wall-clock
- * only. Same best-of-N discipline as measure().
- */
-ModeResult
-measureDrain(const std::string &spec, const std::vector<int> &cores,
-             int threads, double min_seconds, int trials)
-{
-    sim::Machine machine(sim::MachineConfig::defaultPlatform());
-    machine.setFastPath(true);
-
-    AddressArena::Scope scope;
-    std::unique_ptr<kernels::Kernel> kernel = kernels::createKernel(spec);
-    kernel->init(1);
-
-    auto rep = [&] {
-        kernels::runPartitionedParallel(machine, *kernel, cores, 1, true,
-                                        threads);
-    };
-
-    rep(); // warm-up
-
-    ModeResult best;
-    for (int t = 0; t < trials; ++t) {
-        ModeResult r;
-        uint64_t reps = 0;
-        const sim::Machine::Snapshot before = machine.snapshot();
-        const Clock::time_point t0 = Clock::now();
-        Clock::time_point t1;
-        do {
-            rep();
-            ++reps;
-            t1 = Clock::now();
-        } while (std::chrono::duration<double>(t1 - t0).count() <
-                     min_seconds ||
-                 reps < 3);
-        r.seconds = std::chrono::duration<double>(t1 - t0).count();
-        r.accesses = l1Accesses(machine.snapshot() - before);
-        if (r.accessesPerSec() > best.accessesPerSec())
-            best = r;
-    }
-    return best;
-}
-
 /** Geometric-mean accumulator over workload speedups. */
 struct Geomean
 {
@@ -314,41 +261,6 @@ main(int argc, char **argv)
         rows.push_back(row);
     }
 
-    // Parallel-drain scaling: the multi-core workload, partitioned
-    // across four simulated cores, drained on 1/2/4/8 host threads.
-    // Counters are bit-identical across thread counts (proved by
-    // tests/sim/test_parallel_drain.cc); this sweep records the
-    // wall-clock side in the committed trajectory. Excluded from every
-    // geomean: it measures the drain's host scaling, not the
-    // batched-vs-reference consume path.
-    const std::string drain_spec = "daxpy:n=" + sn;
-    const std::vector<int> drain_cores = {0, 1, 2, 3};
-    const std::vector<int> drain_threads = {1, 2, 4, 8};
-
-    struct DrainRow
-    {
-        int threads;
-        ModeResult r;
-        double speedup; ///< vs the 1-thread drain
-    };
-    std::vector<DrainRow> drain_rows;
-    std::printf("\nparallel drain scaling (%s on cores 0-3, batched)\n",
-                drain_spec.c_str());
-    std::printf("%-10s %13s %10s\n", "threads", "Macc/s", "x vs 1T");
-    for (int threads : drain_threads) {
-        DrainRow row{threads,
-                     measureDrain(drain_spec, drain_cores, threads,
-                                  min_seconds, trials),
-                     0.0};
-        row.speedup = drain_rows.empty()
-                          ? 1.0
-                          : row.r.accessesPerSec() /
-                                drain_rows.front().r.accessesPerSec();
-        std::printf("%-10d %13.2f %9.2fx\n", threads,
-                    row.r.accessesPerSec() / 1e6, row.speedup);
-        drain_rows.push_back(row);
-    }
-
     std::printf("\n%-38s %8s %8s\n", "geomean speedup vs reference",
                 "fast", "batched");
     std::printf("%-38s %7.2fx %7.2fx\n", "  all workloads",
@@ -365,7 +277,7 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"sim_throughput\",\n");
-    std::fprintf(f, "  \"schema_version\": 3,\n");
+    std::fprintf(f, "  \"schema_version\": 4,\n");
     std::fprintf(f, "  \"unit\": \"simulated_accesses_per_second\",\n");
     std::fprintf(f, "  \"rfl_fast\": %s,\n", fast_env ? "true" : "false");
     std::fprintf(f, "  \"workloads\": [\n");
@@ -391,21 +303,6 @@ main(int argc, char **argv)
         std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"drain_scaling\": {\n");
-    std::fprintf(f, "    \"workload\": \"%s\",\n", drain_spec.c_str());
-    std::fprintf(f, "    \"cores\": [0, 1, 2, 3],\n");
-    std::fprintf(f, "    \"rows\": [\n");
-    for (size_t i = 0; i < drain_rows.size(); ++i) {
-        const DrainRow &r = drain_rows[i];
-        std::fprintf(f,
-                     "      {\"threads\": %d, "
-                     "\"accesses_per_sec\": %.1f, "
-                     "\"speedup_vs_one_thread\": %.3f}%s\n",
-                     r.threads, r.r.accessesPerSec(), r.speedup,
-                     i + 1 < drain_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"geomean_speedup\": %.3f,\n", fast_all.value());
     std::fprintf(f, "  \"streaming_speedup\": %.3f,\n",
                  fast_stream.value());

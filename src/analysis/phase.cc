@@ -3,10 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include <thread>
-
 #include "kernels/engine.hh"
-#include "kernels/parallel_drain.hh"
 #include "kernels/registry.hh"
 #include "support/address_arena.hh"
 #include "support/logging.hh"
@@ -64,20 +61,6 @@ samplePhases(sim::Machine &machine, kernels::Kernel &kernel,
     machine.reset();
 
     auto run_once = [&] {
-        if (opts.drainThreads != 1) {
-            int threads = opts.drainThreads;
-            if (threads == 0) {
-                threads =
-                    static_cast<int>(std::thread::hardware_concurrency());
-                if (threads == 0)
-                    threads = 1;
-            }
-            // Sampling epochs are replayed at merge time, so the
-            // trajectory is bit-identical to the sequential loop below.
-            kernels::runPartitionedParallel(machine, kernel, opts.cores,
-                                            lanes, opts.useFma, threads);
-            return;
-        }
         for (int part = 0; part < nparts; ++part) {
             kernels::SimEngine engine(
                 machine, opts.cores[static_cast<size_t>(part)], lanes,

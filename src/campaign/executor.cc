@@ -294,14 +294,11 @@ executeJob(const CampaignSpec &spec, const Job &job,
             exp->machine().setMemPolicy(opts.memPolicy);
             exp->machine().setPrefetchEnabled(opts.prefetchEnabled);
         }
-        roofline::MeasureOptions mopts = opts.measure;
-        if (exec_opts.drainThreads >= 0)
-            mopts.drainThreads = exec_opts.drainThreads;
         stageGate("job.simulate", "simulate");
         {
             StageSpan sim("simulate");
             result.measurement = exp->measureSpec(
-                spec.kernels()[job.kernelIndex], mopts);
+                spec.kernels()[job.kernelIndex], opts.measure);
         }
         if (cache) {
             stageGate("job.encode", "encode");

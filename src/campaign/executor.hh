@@ -39,13 +39,6 @@ struct ExecutorOptions
 {
     /** Host worker threads; 0 = one per host hardware thread. */
     int threads = 0;
-    /**
-     * Override every variant's MeasureOptions::drainThreads (host
-     * threads draining the per-core access streams inside one job;
-     * bit-identical for any value). -1 = respect the spec. Does not
-     * enter cache keys: the same cached result serves every setting.
-     */
-    int drainThreads = -1;
     /** Shared result cache; nullptr = run everything uncached. */
     ResultCache *cache = nullptr;
     /**

@@ -52,6 +52,13 @@ struct ParseError
     size_t pos;
 };
 
+/**
+ * Nesting bound of the parser. Every document this program writes nests
+ * a few levels deep; the bound keeps a hostile body (e.g. an HTTP POST of
+ * nested brackets) from recursing off the end of the stack.
+ */
+constexpr int kMaxJsonDepth = 256;
+
 /** Recursive-descent parser over @p text; pos advances past the value. */
 class Parser
 {
@@ -64,10 +71,13 @@ class Parser
         if (pos_ >= text_.size())
             fail("unexpected end of input");
         const char c = text_[pos_];
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting too deep");
+            Json v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"')
             return Json::makeString(parseString());
         if (text_.compare(pos_, 4, "true") == 0) {
@@ -221,6 +231,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 Json

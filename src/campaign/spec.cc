@@ -81,9 +81,6 @@ applyVariantOption(RunOptions &opts, const std::string &key,
     } else if (key == "seed") {
         opts.measure.seed =
             static_cast<uint64_t>(parseLong(key, value));
-    } else if (key == "drain_threads") {
-        opts.measure.drainThreads =
-            static_cast<int>(parseLong(key, value));
     } else if (key == "numa") {
         if (value == "socket0")
             opts.memPolicy = sim::MemPolicy::Socket0;
@@ -131,9 +128,6 @@ RunOptions::canonicalKey() const
         << ",seed=" << measure.seed
         << ",numa=" << memPolicyKey(memPolicy)
         << ",prefetch=" << (prefetchEnabled ? 1 : 0);
-    // drainThreads is deliberately absent: the parallel drain is
-    // bit-identical to the sequential one (Machine::drainParallel), so
-    // one cache entry serves every host thread count.
     return out.str();
 }
 

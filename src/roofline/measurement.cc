@@ -3,9 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include <thread>
-
-#include "kernels/parallel_drain.hh"
 #include "pmu/sim_backend.hh"
 #include "support/logging.hh"
 
@@ -64,18 +61,6 @@ void
 Measurer::runOnce(kernels::Kernel &kernel, const MeasureOptions &opts,
                   int lanes)
 {
-    if (opts.drainThreads != 1) {
-        int threads = opts.drainThreads;
-        if (threads == 0) {
-            threads = static_cast<int>(
-                std::thread::hardware_concurrency());
-            if (threads == 0)
-                threads = 1;
-        }
-        kernels::runPartitionedParallel(machine_, kernel, opts.cores,
-                                        lanes, opts.useFma, threads);
-        return;
-    }
     const int nparts = static_cast<int>(opts.cores.size());
     for (int part = 0; part < nparts; ++part) {
         kernels::SimEngine engine(machine_, opts.cores[

@@ -65,16 +65,6 @@ struct MeasureOptions
     bool useFma = true;
     /** Workload-initialization seed. */
     uint64_t seed = 42;
-    /**
-     * Host threads draining the per-core access streams. 1 (default)
-     * runs parts sequentially on the calling thread — the classic
-     * reference path. > 1 routes through Machine::drainParallel(): one
-     * worker per part, shared-level effects deferred and merged
-     * deterministically, counters bit-identical to the sequential run
-     * for any value (see kernels/parallel_drain.hh). 0 = one thread
-     * per host hardware thread.
-     */
-    int drainThreads = 1;
 };
 
 /** Result of measuring one kernel configuration. */

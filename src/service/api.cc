@@ -464,7 +464,6 @@ ApiHandler::health() const
     build.set("git_sha", Json::makeString(b.gitSha));
     build.set("compiler", Json::makeString(b.compiler));
     build.set("build_type", Json::makeString(b.buildType));
-    build.set("simd", Json::makeString(b.simdTier));
     build.set("profiler",
               Json::makeBool(telemetry::Profiler::compiledIn()));
     doc.set("build", std::move(build));

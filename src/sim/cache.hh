@@ -65,44 +65,6 @@ class Cache
   public:
     explicit Cache(const CacheConfig &config);
 
-    /** @name Raw probe support (SIMD batch classification).
-     * The batched consume loop probes the flat tag array directly —
-     * read-only, no stats/stamps/memo effects — to verify residency of
-     * whole record spans before touching the stateful lookup path. The
-     * flag bits and the no-way sentinel are public so the prober can
-     * interpret what it finds (see sim/simd_classify.hh). */
-    ///@{
-    static constexpr uint8_t flagDirty = 1;
-    static constexpr uint8_t flagPrefetched = 2;
-    /** Sentinel for "no way found" / "no memoized way". */
-    static constexpr size_t noWay = static_cast<size_t>(-1);
-    /** Tag stored for invalid ways (can never match a real tag). */
-    static constexpr uint64_t invalidTag = ~0ull;
-
-    /** Borrowed pointers into the flat way state; invalidated by any
-     *  mutation that reallocates (none after construction). stamps is
-     *  read by the consume loop's miss-set prefetch pre-pass only. */
-    struct RawView
-    {
-        const uint64_t *tags;
-        const uint64_t *stamps;
-        const uint8_t *flags;
-        uint32_t assoc;
-        uint32_t numSets;
-        uint32_t setShift; ///< valid when pow2
-        uint64_t setMask;  ///< valid when pow2
-        bool pow2;
-    };
-
-    RawView
-    rawView() const
-    {
-        return RawView{tags_.data(), stamps_.data(), flags_.data(),
-                       config_.assoc, numSets_,      setShift_,
-                       setMask_,      pow2Sets_};
-    }
-    ///@}
-
     /** Result of installing a line: whether a victim was displaced. */
     struct Eviction
     {
@@ -274,14 +236,16 @@ class Cache
     }
 
   private:
-    /** Internal aliases for the public probe constants. The invalid-tag
-     * sentinel works because tagOf() of any reachable line is < 2^58
-     * (line addresses are byte addresses >> 6), so it can never match a
-     * real tag and validity needs no separate flag on the lookup path. */
-    static constexpr uint8_t kDirty = flagDirty;
-    static constexpr uint8_t kPrefetched = flagPrefetched;
-    static constexpr uint64_t kInvalidTag = invalidTag;
-    static constexpr size_t kNoWay = noWay;
+    /** Per-way flag bits. */
+    static constexpr uint8_t kDirty = 1;
+    static constexpr uint8_t kPrefetched = 2;
+    /** Tag stored for invalid ways. The sentinel works because tagOf()
+     * of any reachable line is < 2^58 (line addresses are byte addresses
+     * >> 6), so it can never match a real tag and validity needs no
+     * separate flag on the lookup path. */
+    static constexpr uint64_t kInvalidTag = ~0ull;
+    /** Sentinel for "no way found" / "no memoized way". */
+    static constexpr size_t kNoWay = static_cast<size_t>(-1);
 
     uint32_t
     setIndex(uint64_t line_addr) const

@@ -6,7 +6,6 @@
 
 #include "support/cancel.hh"
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
 #include "telemetry/sim_counters.hh"
 
 namespace rfl::sim
@@ -48,9 +47,6 @@ Machine::Machine(const MachineConfig &cfg)
     ntCombine_.resize(static_cast<size_t>(cores), ~0ull);
     fast_.resize(static_cast<size_t>(cores));
     scratch_.resize(static_cast<size_t>(cores));
-    runMasks_.resize(static_cast<size_t>(cores));
-    sharedOps_.resize(static_cast<size_t>(cores));
-    epochImages_.resize(static_cast<size_t>(cores));
 }
 
 void
@@ -145,8 +141,7 @@ Machine::accessLineFull(int core, uint64_t line_addr, bool write)
     // The DCU (L1) prefetcher observes the L1 access stream. Separate
     // per-level scratch buffers: the L1 candidate list stays intact
     // while the L2 observer runs (the old shared vector forced a copy
-    // here to avoid aliasing). Per core so parallel drain workers never
-    // share one.
+    // here to avoid aliasing).
     CoreScratch &scratch = scratch_[static_cast<size_t>(core)];
     scratch.l1.clear();
     if (prefetchEnabled_)
@@ -170,42 +165,26 @@ Machine::accessLineFull(int core, uint64_t line_addr, bool write)
             fillL1(core, line_addr, write, false);
         } else {
             cc.l3FillBytes += lineBytes_;
-            if (deferShared_) [[unlikely]] {
-                // Parallel session: the L3 lookup, IMC/DRAM traffic and
-                // this access's latency add replay at merge, at exactly
-                // this position in the core's op stream (before the
-                // private fills' eviction writebacks, like the classic
-                // path). `latency` stays 0 so the add below is skipped.
-                sharedOps_[core].push_back(
-                    {SharedOp::Kind::DemandMiss, line_addr, 0.0});
+            const bool l3_hit = l3_[socket]->lookup(line_addr, false);
+            if (l3_hit) {
+                latency = cfg_.l3.latencyCycles;
             } else {
-                const bool l3_hit = l3_[socket]->lookup(line_addr, false);
-                if (l3_hit) {
-                    latency = cfg_.l3.latencyCycles;
-                } else {
-                    const int owner = homeSocket(byte_addr, socket);
-                    imcs_[owner].read(false);
-                    const bool remote = owner != socket;
-                    latency =
-                        cfg_.dramLatencyCycles() *
-                        (remote ? cfg_.remoteNumaLatencyFactor : 1.0);
-                    double bytes = lineBytes_;
-                    if (remote)
-                        bytes /= cfg_.remoteNumaBandwidthFactor;
-                    cc.dramFillBytes += static_cast<uint64_t>(bytes);
-                    fillL3(core, line_addr, false, false);
-                }
+                const int owner = homeSocket(byte_addr, socket);
+                imcs_[owner].read(false);
+                const bool remote = owner != socket;
+                latency = cfg_.dramLatencyCycles() *
+                          (remote ? cfg_.remoteNumaLatencyFactor : 1.0);
+                double bytes = lineBytes_;
+                if (remote)
+                    bytes /= cfg_.remoteNumaBandwidthFactor;
+                cc.dramFillBytes += static_cast<uint64_t>(bytes);
+                fillL3(core, line_addr, false, false);
             }
             fillL2(core, line_addr, false, false);
             fillL1(core, line_addr, write, false);
         }
     }
-    if (!deferShared_) [[likely]] {
-        cc.latencyCycles += latency;
-    } else if (latency != 0.0) {
-        // L2-hit latency: merge-owned double accumulator, ordered add.
-        sharedOps_[core].push_back({SharedOp::Kind::LatAdd, 0, latency});
-    }
+    cc.latencyCycles += latency;
 
     // The accessed line is resident now (hit, or just filled): admit it
     // to the resident-line filter, remembering its L1 way (the last L1
@@ -236,14 +215,7 @@ Machine::prefetchLine(int core, uint64_t line_addr, int level)
     bool from_dram = false;
     const bool in_l2 = level <= 1 && l2_[core]->contains(line_addr);
     if (!in_l2 && !(level == 2 && l2_[core]->contains(line_addr))) {
-        if (deferShared_) [[unlikely]] {
-            // The L3 probe + possible DRAM fetch replay at merge. The
-            // private charges below do not depend on from_dram when this
-            // block was entered (level <= 1 implies !in_l2 here, which
-            // already decides the l3FillBytes charge).
-            sharedOps_[core].push_back(
-                {SharedOp::Kind::PrefetchL3, line_addr, 0.0});
-        } else if (!l3_[socket]->contains(line_addr)) {
+        if (!l3_[socket]->contains(line_addr)) {
             const uint64_t byte_addr = line_addr << lineShift_;
             const int owner = homeSocket(byte_addr, socket);
             imcs_[owner].read(true);
@@ -313,11 +285,6 @@ Machine::writebackToL2(int core, uint64_t line_addr)
 void
 Machine::writebackToL3(int core, uint64_t line_addr)
 {
-    if (deferShared_) [[unlikely]] {
-        sharedOps_[core].push_back(
-            {SharedOp::Kind::WritebackL3, line_addr, 0.0});
-        return;
-    }
     const int socket = socketOf(core);
     if (l3_[socket]->setDirty(line_addr))
         return;
@@ -362,16 +329,8 @@ Machine::storeNT(int core, uint64_t addr, uint32_t bytes)
         l1_[core]->invalidate(line);
         l2_[core]->invalidate(line);
         const int owner = homeSocket(line << lineShift_, socket);
-        if (deferShared_) [[unlikely]] {
-            // L3 invalidate + IMC NT write replay at merge; the byte
-            // charge below is private (owner is pure address/policy
-            // arithmetic, no shared state read).
-            sharedOps_[core].push_back(
-                {SharedOp::Kind::NtStore, line, 0.0});
-        } else {
-            l3_[socket]->invalidate(line);
-            imcs_[owner].write(true);
-        }
+        l3_[socket]->invalidate(line);
+        imcs_[owner].write(true);
         double wbytes = lineBytes_;
         if (owner != socket)
             wbytes /= cfg_.remoteNumaBandwidthFactor;
@@ -389,7 +348,6 @@ Machine::simulateBatch(const trace::AccessBatch &b, int core_override)
             .fetch_add(1, std::memory_order_relaxed);
         simCounters().records.fetch_add(b.n, std::memory_order_relaxed);
     });
-    int epoch_core = core_override;
     if (core_override >= 0) {
         simulateBatchSpan(b, 0, b.n, core_override);
     } else {
@@ -405,23 +363,8 @@ Machine::simulateBatch(const trace::AccessBatch &b, int core_override)
             while (j < b.n && b.core[j] == core)
                 ++j;
             simulateBatchSpan(b, i, j, core);
-            epoch_core = core;
             i = j;
         }
-    }
-    if (deferShared_) [[unlikely]] {
-        // Worker side of a parallel session: the sampling check replays
-        // at merge (EpochEnd, below), and the merge is the cancellation
-        // point. An empty batch's boundary check is always a no-op (no
-        // accesses were added since the previous boundary), so it needs
-        // no epoch mark.
-        if (samplePeriod_ && b.n != 0 && epoch_core >= 0) {
-            auto &images = epochImages_[static_cast<size_t>(epoch_core)];
-            images.push_back(capturePrivImage(epoch_core));
-            sharedOps_[static_cast<size_t>(epoch_core)].push_back(
-                {SharedOp::Kind::EpochEnd, images.size() - 1, 0.0});
-        }
-        return;
     }
     // Batch-drain boundary: the interval sampler's only check point,
     // and the simulator's only cancellation point. With no deadline
@@ -445,33 +388,12 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
     // reacts to a repeated hit with a bare observation count (the
     // streamer must run its full observe() per access). A dependent
     // chain (machine knob or batch hint) never coalesces — each access
-    // is its own line by construction, so mining runs/windows is pure
-    // overhead — and takes the direct loop below with coalesce off.
+    // is its own line by construction, so mining runs is pure overhead
+    // — and takes the direct loop below with coalesce off.
     const bool coalesce = fastPath_ &&
                           (l1pfCheapRepeat_ || !prefetchEnabled_) &&
                           !dependent_ && !b.dependent;
-    if (coalesce && simdClassify_) {
-        // Build the bit-packed run masks once: the miss-set prefetch
-        // pre-pass needs them to prime the host cache for every
-        // predicted miss in the span, which pays off in BOTH consume
-        // loops (the serial miss walk is host-memory-latency bound on
-        // the modeled L2/L3 metadata). Dependent-chain streams never
-        // get here — the engine's latency bypass routes them straight
-        // to the per-access path.
-        simd::buildRunMasks(b, begin, end,
-                            runMasks_[static_cast<size_t>(core)]);
-        prefetchMissSets(b, begin, end, core);
-        // The mask-driven loop amortizes its per-run mask arithmetic
-        // over run length, so it pays off exactly when the producer
-        // flagged a dense same-line stream; sparse-hint batches
-        // (interleaved multi-stream kernels like triad) consume faster
-        // through the scalar scan below. Both loops are bit-identical —
-        // this dispatch is purely a throughput choice.
-        if (b.sameLineHints * 2 >= b.n) {
-            simulateBatchSpanSimd(b, begin, end, core);
-            return;
-        }
-    }
+
     // Hoisted per-core state: the consume loop must not chase the
     // unique_ptr/vector indirections per record.
     CoreFast &fs = fast_[static_cast<size_t>(core)];
@@ -636,484 +558,6 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
             telem_run_records, std::memory_order_relaxed);
     }
 #endif
-}
-
-void
-Machine::simulateBatchSpanSimd(const trace::AccessBatch &b,
-                               uint32_t begin, uint32_t end, int core)
-{
-    using trace::AccessBatch;
-    using trace::AccessKind;
-
-    // The caller (simulateBatchSpan) built the bit-packed
-    // classification planes for this span (see simd_classify.hh): ext
-    // marks records that may extend a same-line run — the exact byte
-    // predicate the scalar consume loop applies per record — mem marks
-    // demand Load/Stores and wr marks demand Stores. The loop below
-    // handles a run in O(1): extent by counting trailing ones of ext,
-    // read/write tallies by popcounts over mem/wr, and the rare
-    // interleaved Fp/Other records recovered from ext & ~mem. Runs,
-    // tallies and the order of every machine-visible effect are
-    // identical to the scalar loop by construction (the masks are
-    // definitions, not heuristics); the golden equivalence test
-    // enforces it across SIMD on/off.
-    const simd::RunMasks &rm = runMasks_[static_cast<size_t>(core)];
-    const uint64_t *const ext = rm.ext.data();
-    const uint64_t *const mem = rm.mem.data();
-    const uint64_t *const wrp = rm.wr.data();
-
-    CoreFast &fs = fast_[static_cast<size_t>(core)];
-    CoreCounters &cc = cores_[static_cast<size_t>(core)];
-    Cache *const l1 = l1_[static_cast<size_t>(core)].get();
-    Tlb &tlb = tlbs_[static_cast<size_t>(core)];
-    Prefetcher *const l1pf = l1pf_[static_cast<size_t>(core)].get();
-    const Cache::RawView l1v = l1->rawView();
-    const uint32_t line_shift = lineShift_;
-
-    // Deferred pure-stat tallies, published once at span end. Both are
-    // additive counters nothing on the access path reads back (the TLB's
-    // replacement tick is separate from its access stat, and no
-    // prefetcher's issue decision consults its observed count), and
-    // every external observation point drains the batch first — so
-    // accumulating them in registers is invisible.
-    uint64_t tlb_streak_accesses = 0;
-    uint64_t pf_observed = 0;
-
-#ifdef RFL_TELEMETRY
-    const bool telem_on = telemetry::simTelemetryEnabled();
-    uint64_t telem_runs = 0;
-    uint64_t telem_run_records = 0;
-#endif
-
-    auto retire_fp = [&](uint8_t width_byte, uint64_t count) {
-        const auto w = static_cast<VecWidth>(
-            width_byte & trace::AccessBatch::fpWidthMask);
-        const bool fma =
-            (width_byte & trace::AccessBatch::fpFmaFlag) != 0;
-        if (vecLanes(w) > cfg_.core.maxVectorDoubles) {
-            panic("core %d retiring %s ops but machine supports width "
-                  "%d",
-                  core, vecWidthName(w), cfg_.core.maxVectorDoubles);
-        }
-        if (fma && !cfg_.core.hasFma)
-            panic("core %d retiring FMA on a machine without FMA", core);
-        cc.fpRetired[static_cast<size_t>(w)] += count * (fma ? 2 : 1);
-        cc.fpUops += count;
-    };
-
-    // First record at index >= from that cannot extend a run (mask bits
-    // beyond the span are zero, so the scan cannot overrun; the min()
-    // is belt and braces).
-    auto run_limit = [&](uint32_t from) -> uint32_t {
-        if (from >= end)
-            return end;
-        uint64_t inv = ~(ext[from >> 6] >> (from & 63u));
-        if (inv != 0) {
-            const uint32_t j =
-                from + static_cast<uint32_t>(std::countr_zero(inv));
-            return j < end ? j : end;
-        }
-        for (uint32_t pos = (from & ~63u) + 64; pos < end; pos += 64) {
-            inv = ~ext[pos >> 6];
-            if (inv != 0) {
-                const uint32_t j =
-                    pos + static_cast<uint32_t>(std::countr_zero(inv));
-                return j < end ? j : end;
-            }
-        }
-        return end;
-    };
-
-    // Popcount of mask bits in [from, to); requires to > from.
-    auto pop_range = [&](const uint64_t *m, uint32_t from,
-                         uint32_t to) -> uint64_t {
-        const uint32_t wf = from >> 6;
-        const uint32_t wt = (to - 1) >> 6;
-        const uint64_t head = m[wf] >> (from & 63u);
-        if (wf == wt) {
-            const uint32_t len = to - from;
-            return static_cast<uint64_t>(std::popcount(
-                len >= 64 ? head : head & ((1ull << len) - 1)));
-        }
-        uint64_t n = static_cast<uint64_t>(std::popcount(head));
-        for (uint32_t w = wf + 1; w < wt; ++w)
-            n += static_cast<uint64_t>(std::popcount(m[w]));
-        const uint32_t tail_bits = to & 63u;
-        const uint64_t tail =
-            tail_bits ? m[wt] & ((1ull << tail_bits) - 1) : m[wt];
-        return n + static_cast<uint64_t>(std::popcount(tail));
-    };
-
-    uint32_t i = begin;
-    while (i < end) {
-        const auto kind = static_cast<AccessKind>(b.kind[i] &
-                                                  trace::kindValueMask);
-        switch (kind) {
-          case AccessKind::Load:
-          case AccessKind::Store: {
-            const uint64_t addr = b.addr[i];
-            const uint32_t bytes = b.size[i];
-            RFL_ASSERT(bytes > 0);
-            const uint64_t line = addr >> line_shift;
-            const uint64_t last = (addr + bytes - 1) >> line_shift;
-            if (last == line) {
-                // Run base: verify the line is L1-resident and demand-
-                // touched. The resident-line filter proves it in one
-                // compare; otherwise probe the raw tag array (a
-                // prefetched line's first demand touch has effects a
-                // bulk touch must not skip).
-                size_t way = Cache::noWay;
-                const int slot = fs.find(line);
-                if (slot >= 0) {
-                    way = fs.wayIdx[static_cast<size_t>(slot)];
-                } else {
-                    const size_t probed = simd::probeWay(l1v, line);
-                    if (probed != Cache::noWay &&
-                        !(l1v.flags[probed] & Cache::flagPrefetched)) {
-                        fs.noteHit(line, probed);
-                        way = probed;
-                    }
-                }
-                if (way != Cache::noWay) {
-                    // Guaranteed-hit run [i, j): every follower is
-                    // same-line with the base (transitively through the
-                    // producer hint) or an inline-retiring Fp/Other.
-                    // The per-access sequence collapses into bulk
-                    // updates exactly as in the scalar loop; only the
-                    // tallying is mask arithmetic now.
-                    const uint32_t j = run_limit(i + 1);
-                    const uint64_t n_mem = pop_range(mem, i, j);
-                    const uint64_t n_wr = pop_range(wrp, i, j);
-                    if (n_mem != j - i) {
-                        // Interleaved Fp/Other records, retired in
-                        // record order (they commute with the memory
-                        // updates; order among themselves preserved).
-                        for (uint32_t w = (i + 1) >> 6;
-                             w <= (j - 1) >> 6; ++w) {
-                            uint64_t bits = ext[w] & ~mem[w];
-                            if (w == ((i + 1) >> 6))
-                                bits &= ~0ull << ((i + 1) & 63u);
-                            if (w == ((j - 1) >> 6) && (j & 63u))
-                                bits &= (1ull << (j & 63u)) - 1;
-                            while (bits) {
-                                const uint32_t r =
-                                    (w << 6) +
-                                    static_cast<uint32_t>(
-                                        std::countr_zero(bits));
-                                bits &= bits - 1;
-                                if (b.kind[r] ==
-                                    static_cast<uint8_t>(
-                                        AccessKind::Fp)) {
-                                    retire_fp(b.width[r], b.addr[r]);
-                                } else {
-                                    cc.otherUops += b.addr[r];
-                                }
-                            }
-                        }
-                    }
-                    // Translate the base exactly as the per-access fast
-                    // path would (page streak or full walk, updating
-                    // lastVpn); every same-line follower is then a
-                    // guaranteed streak whose access count defers.
-                    translatePage(core, fs, addr);
-                    tlb_streak_accesses += n_mem - 1;
-                    cc.loadUops += n_mem - n_wr;
-                    cc.storeUops += n_wr;
-                    l1->touchRepeatN(way, n_wr, n_mem - n_wr);
-                    pf_observed += n_mem;
-#ifdef RFL_TELEMETRY
-                    if (telem_on) {
-                        ++telem_runs;
-                        telem_run_records += j - i;
-                    }
-#endif
-                    i = j;
-                    continue;
-                }
-                // Single-line but not provably demand-resident: the
-                // per-access path's find() would fail identically, so
-                // go straight to the full (miss) path.
-                const bool write = kind == AccessKind::Store;
-                if (write)
-                    cc.storeUops += 1;
-                else
-                    cc.loadUops += 1;
-                accessLineFull(core, line, write);
-                ++i;
-                break;
-            }
-            // Line-crossing access: split and deliver per line.
-            const bool write = kind == AccessKind::Store;
-            if (write)
-                cc.storeUops += 1;
-            else
-                cc.loadUops += 1;
-            accessLine(core, line, write);
-            for (uint64_t l = line + 1; l <= last; ++l)
-                accessLine(core, l, write);
-            ++i;
-            break;
-          }
-          case AccessKind::StoreNT:
-            storeNT(core, b.addr[i], b.size[i]);
-            ++i;
-            break;
-          case AccessKind::Fp:
-            retire_fp(b.width[i], b.addr[i]);
-            ++i;
-            break;
-          case AccessKind::Other:
-            cc.otherUops += b.addr[i];
-            ++i;
-            break;
-        }
-    }
-
-    if (tlbEnabled_ && tlb_streak_accesses)
-        tlb.countStreakAccesses(tlb_streak_accesses);
-    if (prefetchEnabled_ && pf_observed)
-        l1pf->countObservedN(pf_observed);
-
-#ifdef RFL_TELEMETRY
-    if (telem_on) {
-        using telemetry::simCounters;
-        simCounters().simdSpans.fetch_add(1, std::memory_order_relaxed);
-        simCounters().simdRecords.fetch_add(end - begin,
-                                            std::memory_order_relaxed);
-        if (telem_runs) {
-            simCounters().simdRuns.fetch_add(telem_runs,
-                                             std::memory_order_relaxed);
-            simCounters().simdRunRecords.fetch_add(
-                telem_run_records, std::memory_order_relaxed);
-        }
-    }
-#endif
-}
-
-void
-Machine::prefetchMissSets(const trace::AccessBatch &b, uint32_t begin,
-                          uint32_t end, int core)
-{
-    const simd::RunMasks &rm = runMasks_[static_cast<size_t>(core)];
-    const CoreFast &fs = fast_[static_cast<size_t>(core)];
-    const Cache::RawView l2v = l2_[static_cast<size_t>(core)]->rawView();
-    const Cache::RawView l3v =
-        l3_[static_cast<size_t>(socketOf(core))]->rawView();
-    // Small dedup ring: consecutive bases alternate between a handful
-    // of stream lines, so four entries collapse nearly all repeats.
-    uint64_t ring[4] = {~0ull, ~0ull, ~0ull, ~0ull};
-    uint32_t at = 0;
-    if (begin >= end)
-        return;
-    const uint32_t wlo = begin >> 6;
-    const uint32_t whi = (end + 63) >> 6;
-    for (uint32_t w = wlo; w < whi; ++w) {
-        // Run bases: demand records that do not extend a run.
-        uint64_t bits = rm.mem[w] & ~rm.ext[w];
-        while (bits) {
-            const uint32_t r =
-                (w << 6) + static_cast<uint32_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const uint64_t line = b.addr[r] >> lineShift_;
-            if (line == ring[0] || line == ring[1] || line == ring[2] ||
-                line == ring[3])
-                continue;
-            ring[at & 3u] = line;
-            ++at;
-            // Lines in the resident-line filter hit L1 and never reach
-            // the L2/L3 metadata (start-of-span state; good enough for
-            // a prefetch hint).
-            if (line == fs.hitLine[0] || line == fs.hitLine[1] ||
-                line == fs.hitLine[2] || line == fs.hitLine[3])
-                continue;
-            simd::prefetchSet(l2v, line);
-            simd::prefetchSet(l3v, line);
-        }
-    }
-}
-
-void
-Machine::drainParallel(
-    const std::vector<std::function<void()>> &core_work, int threads)
-{
-    RFL_ASSERT(!deferShared_);
-    RFL_ASSERT(static_cast<int>(core_work.size()) <= numCores_);
-    // Anything buffered so far belongs before the parallel session.
-    drainBatchSources();
-    for (auto &ops : sharedOps_)
-        ops.clear();
-    for (auto &images : epochImages_)
-        images.clear();
-    if (samplePeriod_) {
-        // Pre-session private images: the merge-time sampler composes
-        // snapshots starting from these (a core whose epochs have not
-        // replayed yet contributes its pre-session state, exactly as the
-        // classic core-ordered sequential drain would observe).
-        mergePriv_.clear();
-        for (int c = 0; c < numCores_; ++c)
-            mergePriv_.push_back(capturePrivImage(c));
-    }
-    deferShared_ = true;
-    try {
-        if (threads <= 1) {
-            // Same defer + merge pipeline as the threaded run, so the
-            // thread count can never change what the merge replays.
-            for (const auto &work : core_work)
-                work();
-        } else {
-            ThreadPool pool(std::min<int>(
-                threads, static_cast<int>(core_work.size())));
-            for (const auto &work : core_work)
-                pool.submit([&work] { work(); });
-            pool.wait();
-        }
-    } catch (...) {
-        deferShared_ = false;
-        throw;
-    }
-    deferShared_ = false;
-    mergeSharedOps();
-    checkCancelled("simulate");
-}
-
-Machine::PrivImage
-Machine::capturePrivImage(int core) const
-{
-    const auto c = static_cast<size_t>(core);
-    return PrivImage{cores_[c],        l1_[c]->stats(),
-                     l2_[c]->stats(),  tlbs_[c].stats(),
-                     l1pf_[c]->stats(), l2pf_[c]->stats()};
-}
-
-void
-Machine::mergeSharedOps()
-{
-#ifdef RFL_TELEMETRY
-    uint64_t telem_ops = 0;
-#endif
-    for (int c = 0; c < numCores_; ++c) {
-        std::vector<SharedOp> &ops = sharedOps_[static_cast<size_t>(c)];
-        if (ops.empty())
-            continue;
-#ifdef RFL_TELEMETRY
-        telem_ops += ops.size();
-#endif
-        const int socket = socketOf(c);
-        CoreCounters &cc = cores_[static_cast<size_t>(c)];
-        for (const SharedOp &op : ops) {
-            switch (op.kind) {
-              case SharedOp::Kind::LatAdd:
-                cc.latencyCycles += op.lat;
-                break;
-              case SharedOp::Kind::DemandMiss: {
-                // The classic path's L3/IMC/DRAM block for a demand L2
-                // miss, plus the access's latency add (the only double
-                // add of that access, so its position among the core's
-                // double adds is preserved).
-                double latency;
-                if (l3_[socket]->lookup(op.line, false)) {
-                    latency = cfg_.l3.latencyCycles;
-                } else {
-                    const uint64_t byte_addr = op.line << lineShift_;
-                    const int owner = homeSocket(byte_addr, socket);
-                    imcs_[owner].read(false);
-                    const bool remote = owner != socket;
-                    latency =
-                        cfg_.dramLatencyCycles() *
-                        (remote ? cfg_.remoteNumaLatencyFactor : 1.0);
-                    double bytes = lineBytes_;
-                    if (remote)
-                        bytes /= cfg_.remoteNumaBandwidthFactor;
-                    cc.dramFillBytes += static_cast<uint64_t>(bytes);
-                    fillL3(c, op.line, false, false);
-                }
-                cc.latencyCycles += latency;
-                break;
-              }
-              case SharedOp::Kind::PrefetchL3:
-                if (!l3_[socket]->contains(op.line)) {
-                    const uint64_t byte_addr = op.line << lineShift_;
-                    const int owner = homeSocket(byte_addr, socket);
-                    imcs_[owner].read(true);
-                    double bytes = lineBytes_;
-                    if (owner != socket)
-                        bytes /= cfg_.remoteNumaBandwidthFactor;
-                    cc.dramFillBytes += static_cast<uint64_t>(bytes);
-                    fillL3(c, op.line, false, true);
-                }
-                break;
-              case SharedOp::Kind::WritebackL3:
-                writebackToL3(c, op.line);
-                break;
-              case SharedOp::Kind::NtStore: {
-                l3_[socket]->invalidate(op.line);
-                const int owner =
-                    homeSocket(op.line << lineShift_, socket);
-                imcs_[owner].write(true);
-                break;
-              }
-              case SharedOp::Kind::EpochEnd:
-                if (samplePeriod_) {
-                    mergePriv_[static_cast<size_t>(c)] =
-                        epochImages_[static_cast<size_t>(c)]
-                                    [static_cast<size_t>(op.line)];
-                    maybeSampleMerged();
-                }
-                break;
-            }
-        }
-        ops.clear();
-    }
-#ifdef RFL_TELEMETRY
-    RFL_TELEM({
-        using telemetry::simCounters;
-        simCounters().parallelDrains.fetch_add(1,
-                                               std::memory_order_relaxed);
-        simCounters().parallelSharedOps.fetch_add(
-            telem_ops, std::memory_order_relaxed);
-    });
-#endif
-}
-
-void
-Machine::maybeSampleMerged()
-{
-    uint64_t accesses = 0;
-    for (const PrivImage &p : mergePriv_)
-        accesses += p.cc.loadUops + p.cc.storeUops;
-    if (samplePeriod_ == 0 ||
-        accesses - sampleLastAccesses_ < samplePeriod_)
-        return;
-    samples_.push_back(captureMergedSnapshot());
-    sampleLastAccesses_ = accesses;
-}
-
-Machine::Snapshot
-Machine::captureMergedSnapshot() const
-{
-    Snapshot s;
-    for (int c = 0; c < numCores_; ++c) {
-        const PrivImage &p = mergePriv_[static_cast<size_t>(c)];
-        CoreCounters cc = p.cc;
-        // The merge owns these three: take them live (the epoch image
-        // holds stale pre-session values for them — workers never write
-        // them during a session).
-        cc.latencyCycles = cores_[static_cast<size_t>(c)].latencyCycles;
-        cc.dramFillBytes = cores_[static_cast<size_t>(c)].dramFillBytes;
-        cc.dramWritebackBytes =
-            cores_[static_cast<size_t>(c)].dramWritebackBytes;
-        s.cores.push_back(cc);
-        s.l1.push_back(p.l1);
-        s.l2.push_back(p.l2);
-        s.tlbs.push_back(p.tlb);
-        s.l1pf.push_back(p.l1pf);
-        s.l2pf.push_back(p.l2pf);
-    }
-    for (int sk = 0; sk < cfg_.sockets; ++sk) {
-        s.l3.push_back(l3_[sk]->stats());
-        s.imcs.push_back(imcs_[sk].stats());
-    }
-    return s;
 }
 
 void

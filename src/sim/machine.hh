@@ -21,7 +21,6 @@
 #define RFL_SIM_MACHINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "sim/core.hh"
 #include "sim/imc.hh"
 #include "sim/prefetcher.hh"
-#include "sim/simd_classify.hh"
 #include "sim/tlb.hh"
 #include "trace/access_batch.hh"
 
@@ -160,50 +158,6 @@ class Machine
      */
     void setFastPath(bool enabled);
     bool fastPathEnabled() const { return fastPath_; }
-
-    /**
-     * Enable/disable the SIMD batch-classification pre-pass and the
-     * multi-line window coalescer it feeds (default: enabled). Like the
-     * fast path, a pure accelerator: every architectural observable is
-     * bit-identical either way (golden equivalence test). Only consulted
-     * by simulateBatch(); the per-access data path never classifies.
-     */
-    void
-    setSimdClassify(bool enabled)
-    {
-        drainBatchSources();
-        simdClassify_ = enabled;
-    }
-    bool simdClassifyEnabled() const { return simdClassify_; }
-
-    /** @name Per-core parallel drain. */
-    ///@{
-    /**
-     * Run @p core_work on up to @p threads host threads; closure i must
-     * drive simulated core i only (its private L1/L2/TLB/prefetchers and
-     * counters), via engines attached before the call. While the session
-     * is active, private-state simulation proceeds live on the workers,
-     * and every effect that touches shared state — L3, IMC, DRAM-traffic
-     * counters and the per-core latency accumulator (whose double adds
-     * must keep one global order) — is recorded into a per-core ordered
-     * log instead of applied. After all closures finish, the logs are
-     * replayed in core order 0..N-1, which reproduces the classic
-     * sequential drain (core 0's whole stream, then core 1's, ...)
-     * exactly: counters and cache/TLB/prefetcher state are byte-identical
-     * to a single-threaded run for every thread count, including
-     * thread count 1 (tests/sim/test_parallel_drain.cc enforces it).
-     *
-     * Closures must flush their engines before returning, must not call
-     * observation points (snapshot, samples, component accessors), and
-     * per-epoch interval sampling (setSamplePeriod) is replayed at merge
-     * time so phase trajectories also stay bit-identical.
-     */
-    void drainParallel(const std::vector<std::function<void()>> &core_work,
-                       int threads);
-
-    /** @return true while inside a drainParallel session (worker side). */
-    bool parallelDrainActive() const { return deferShared_; }
-    ///@}
 
     /** @name Data path (byte addresses; split into lines internally). */
     ///@{
@@ -432,32 +386,6 @@ class Machine
                            uint32_t begin, uint32_t end, int core);
 
     /**
-     * Mask-fed variant of the span loop: builds the bit-packed run
-     * masks for [begin, end) with the SIMD classification pre-pass,
-     * then consumes same-line runs in O(1) each — extent via
-     * count-trailing-ones, read/write tallies via popcounts — falling
-     * back to the per-access reference dispatch for anything not
-     * provably resident. Only entered when coalescing is
-     * architecturally safe (fast path on, no streamer retraining on
-     * hits, not a dependent chain). See DESIGN.md §13.
-     */
-    void simulateBatchSpanSimd(const trace::AccessBatch &batch,
-                               uint32_t begin, uint32_t end, int core);
-
-    /**
-     * Host-cache priming pre-pass over a span's run masks (already
-     * built in runMasks_[core]): for every run base whose line is
-     * neither a recent duplicate nor in the resident-line filter —
-     * i.e. every line about to take the miss machinery — prefetch the
-     * L2 and L3 way-state lines of its set. The serial miss walk is
-     * host-memory-latency bound on the modeled L2/L3 metadata; issuing
-     * the loads up front overlaps that latency across the span's
-     * misses. No simulated effect; see simd::prefetchSet().
-     */
-    void prefetchMissSets(const trace::AccessBatch &batch, uint32_t begin,
-                          uint32_t end, int core);
-
-    /**
      * observe() on @p pf with a direct (devirtualized) call: @p kind is
      * the configured flavor, the model classes are final, and observe
      * runs for every demand access a level sees.
@@ -626,8 +554,7 @@ class Machine
      * Fixed-capacity scratch buffers for prefetch candidates, one per
      * observing level so the L1 and L2 candidate lists can never alias
      * (the old single shared vector forced a per-access copy to avoid
-     * exactly that). Per core, because parallel drain workers run the
-     * private access paths concurrently.
+     * exactly that).
      */
     struct CoreScratch
     {
@@ -635,82 +562,6 @@ class Machine
         PfList l2;
     };
     std::vector<CoreScratch> scratch_; // per core
-
-    /** Whether simulateBatch runs the classification pre-pass. */
-    bool simdClassify_ = true;
-    /** Classification planes, one set per core (workers classify
-     *  concurrently during a parallel drain). */
-    std::vector<simd::RunMasks> runMasks_; // per core
-
-    /** @name Deferred shared-state machinery (drainParallel). */
-    ///@{
-    /**
-     * One deferred shared-state effect. Workers append these to their
-     * core's log in program order; the merge replays core 0's whole log,
-     * then core 1's, ... — the same global order the classic sequential
-     * drain produces — with deferShared_ off, so each op's replay runs
-     * the ordinary shared-path code.
-     */
-    struct SharedOp
-    {
-        enum class Kind : uint8_t
-        {
-            /** Add `lat` to the core's latencyCycles (double: order-
-             *  sensitive). Zero adds are skipped — x += 0.0 is a bitwise
-             *  identity for the non-negative accumulator. */
-            LatAdd,
-            /** Demand L2 miss of `line`: L3 lookup, IMC/DRAM traffic on
-             *  miss, fillL3, and the access's latency add. */
-            DemandMiss,
-            /** Prefetch reached L3 for `line`: fill + IMC if absent. */
-            PrefetchL3,
-            /** Dirty L2 eviction of `line`: writebackToL3. */
-            WritebackL3,
-            /** NT store to `line`: L3 invalidate + IMC NT write. */
-            NtStore,
-            /** Sampling checkpoint: `line` indexes the core's epoch
-             *  image; replay the interval-sampling check here. */
-            EpochEnd,
-        };
-        Kind kind;
-        uint64_t line = 0;
-        double lat = 0.0;
-    };
-
-    /**
-     * Per-core private-counter image captured at batch boundaries while
-     * sampling inside a parallel session: the merge composes these with
-     * the live (merge-owned) shared state to rebuild the exact Snapshot
-     * the classic drain would have recorded at that point.
-     */
-    struct PrivImage
-    {
-        CoreCounters cc;
-        CacheStats l1;
-        CacheStats l2;
-        TlbStats tlb;
-        PrefetcherStats l1pf;
-        PrefetcherStats l2pf;
-    };
-
-    /** True while drainParallel workers are running: shared-state
-     *  effects are logged instead of applied. */
-    bool deferShared_ = false;
-    std::vector<std::vector<SharedOp>> sharedOps_;   // per core
-    std::vector<std::vector<PrivImage>> epochImages_; // per core
-    /** Merge-time composed private state (starts at the pre-session
-     *  image, advances at each EpochEnd). */
-    std::vector<PrivImage> mergePriv_;
-
-    PrivImage capturePrivImage(int core) const;
-    /** Replay the per-core logs in core order (see drainParallel). */
-    void mergeSharedOps();
-    /** maybeSample() against the composed merge-time counter view. */
-    void maybeSampleMerged();
-    /** captureSnapshot() with private state taken from mergePriv_ and
-     *  merge-owned core fields + shared levels taken live. */
-    Snapshot captureMergedSnapshot() const;
-    ///@}
 
     /**
      * Attached batch sources, drained (in order) by every observation
@@ -747,15 +598,7 @@ Machine::translatePage(int core, CoreFast &fs, uint64_t byte_addr)
     } else {
         const double walk = tlbs_[core].translate(byte_addr);
         fs.lastVpn = vpn;
-        if (!deferShared_) [[likely]] {
-            cores_[core].latencyCycles += walk;
-        } else if (walk != 0.0) {
-            // latencyCycles is merge-owned during a parallel session
-            // (double adds keep one global order); zero adds are a
-            // bitwise no-op and need no log entry.
-            sharedOps_[core].push_back(
-                {SharedOp::Kind::LatAdd, 0, walk});
-        }
+        cores_[core].latencyCycles += walk;
     }
 }
 

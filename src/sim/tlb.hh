@@ -112,58 +112,6 @@ class Tlb
     /** Bulk form of countStreakAccess() for a coalesced same-line run. */
     void countStreakAccesses(uint64_t count) { stats_.accesses += count; }
 
-    /**
-     * Read-only probe: would a translate() of a byte address on page
-     * @p vpn hit the L1 DTLB right now? No stats, stamps or tick moved.
-     * The batched window coalescer uses this to decide up front whether
-     * a span's page set can be bulk-applied (every window translation
-     * being an L1 hit also guarantees the window changes no TLB content,
-     * so the probe stays valid for the window's whole lifetime).
-     */
-    bool
-    probeL1(uint64_t vpn) const
-    {
-        if (!config_.enabled)
-            return true;
-        const uint64_t *vpns = l1_.vpns.data() + l1BaseOf(vpn);
-        for (uint32_t w = 0; w < config_.l1Assoc; ++w) {
-            if (vpns[w] == vpn)
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * Bulk-apply @p switches page-switch translations of @p vpn, all of
-     * which the caller proved (via probeL1()) would hit the L1 DTLB.
-     * Equivalent to @p switches interleaved translate() calls restricted
-     * to their effect on this page: the tick advances once per
-     * translation, only the final LRU stamp survives, and the access
-     * counter is additive. The caller orders the per-page bulk calls by
-     * last occurrence so relative stamp recency matches the interleaved
-     * sequence (see DESIGN.md §13).
-     */
-    void
-    touchL1Bulk(uint64_t vpn, uint64_t switches)
-    {
-        if (switches == 0)
-            return;
-        tick_ += switches;
-        stats_.accesses += switches;
-        const size_t base = l1BaseOf(vpn);
-        uint64_t *vpns = l1_.vpns.data() + base;
-        for (uint32_t w = 0; w < config_.l1Assoc; ++w) {
-            if (vpns[w] == vpn) {
-                l1_.stamps[base + w] = tick_;
-                return;
-            }
-        }
-        RFL_ASSERT(false && "touchL1Bulk: page not L1-resident");
-    }
-
-    /** log2(page size): pages are validated to be a power of two. */
-    uint32_t pageShift() const { return pageShift_; }
-
     /** Drop all translations (context switch / explicit flush). */
     void flush();
 

@@ -59,11 +59,11 @@ class AddressArena
      * region hit, so the memo check must not cost a function call.
      *
      * Thread safety: the memo lives in thread-local storage (keyed by
-     * arena identity + registration epoch), so any number of threads
-     * may translate through the same arena concurrently — required by
-     * Machine::drainParallel(), where per-core worker threads all read
-     * one arena. Concurrent registerRegion() calls are NOT allowed:
-     * register every buffer before entering a parallel section.
+     * arena identity + registration epoch), so translation is a const
+     * read with no shared mutable state: any number of threads may
+     * translate through the same arena concurrently, and campaign
+     * executor threads, each inside its own Scope, never contend on a
+     * memo. Concurrent registerRegion() calls are NOT allowed.
      */
     uint64_t
     translatePointer(const void *p) const
@@ -105,30 +105,6 @@ class AddressArena
      * it holds an arena by value.
      */
     class Scope;
-
-    /**
-     * RAII adoption of an EXISTING arena on the current thread:
-     * installs @p arena as this thread's translation context and
-     * restores the previous one on destruction. Used by parallel-drain
-     * worker threads so every core's kernel closure translates through
-     * the arena the main thread's Scope established (thread_local
-     * tlsCurrent_ does not propagate into pool threads by itself).
-     * Adopting nullptr is allowed and makes translation the identity.
-     */
-    class Adoption
-    {
-      public:
-        explicit Adoption(AddressArena *arena) : prev_(tlsCurrent_)
-        {
-            tlsCurrent_ = arena;
-        }
-        ~Adoption() { tlsCurrent_ = prev_; }
-        Adoption(const Adoption &) = delete;
-        Adoption &operator=(const Adoption &) = delete;
-
-      private:
-        AddressArena *prev_;
-    };
 
   private:
     struct Region

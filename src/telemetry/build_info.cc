@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "sim/simd_classify.hh"
-
 #ifndef RFL_GIT_SHA
 #define RFL_GIT_SHA "unknown"
 #endif
@@ -33,19 +31,6 @@ compilerString()
     return buf;
 }
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 const BuildInfo &
@@ -58,7 +43,6 @@ buildInfo()
         b.buildType = RFL_BUILD_TYPE;
         if (b.buildType.empty())
             b.buildType = "unset";
-        b.simdTier = sim::simd::activeIsa();
         return b;
     }();
     return info;
@@ -73,19 +57,8 @@ registerBuildInfoMetric(Registry &registry)
                "build identity; value is always 1, identity in labels",
                {{"git_sha", b.gitSha},
                 {"compiler", b.compiler},
-                {"build_type", b.buildType},
-                {"simd", b.simdTier}})
+                {"build_type", b.buildType}})
         .set(1.0);
-}
-
-std::string
-buildInfoJsonFields()
-{
-    const BuildInfo &b = buildInfo();
-    return "\"git_sha\":\"" + escapeJson(b.gitSha) +
-           "\",\"compiler\":\"" + escapeJson(b.compiler) +
-           "\",\"build_type\":\"" + escapeJson(b.buildType) +
-           "\",\"simd\":\"" + escapeJson(b.simdTier) + "\"";
 }
 
 } // namespace rfl::telemetry

@@ -5,11 +5,9 @@
  * Every metrics pipeline eventually asks "did the numbers change
  * because the workload changed, or because the binary did?". The
  * standard answer is an info gauge: rfl_build_info is always 1, and
- * the identity rides in its labels — git sha, compiler, build type,
- * and the *runtime* SIMD dispatch tier (avx2/sse2/scalar — what the
- * CPU actually selected, not what the build enabled). The same
- * fields appear in /healthz so a human can read them without a
- * metrics scrape.
+ * the identity rides in its labels — git sha, compiler and build
+ * type. The same fields appear in /healthz so a human can read them
+ * without a metrics scrape.
  *
  * Sha and build type are injected as compile definitions on this
  * translation unit only (see CMakeLists.txt), so a sha change
@@ -26,27 +24,19 @@
 namespace rfl::telemetry
 {
 
-/** Static build + runtime dispatch identity. */
+/** Static build identity. */
 struct BuildInfo
 {
     std::string gitSha;    ///< short sha, or "unknown" outside git
     std::string compiler;  ///< e.g. "gcc 13.2.0"
     std::string buildType; ///< CMAKE_BUILD_TYPE, "" -> "unset"
-    std::string simdTier;  ///< runtime dispatch: avx2 | sse2 | scalar
 };
 
 /** The identity of this process (computed once). */
 const BuildInfo &buildInfo();
 
-/** Register rfl_build_info{git_sha=,compiler=,build_type=,simd=} = 1. */
+/** Register rfl_build_info{git_sha=,compiler=,build_type=} = 1. */
 void registerBuildInfoMetric(Registry &registry);
-
-/**
- * The same fields as a JSON object fragment without braces —
- * `"git_sha":"...","compiler":"...",...` — for splicing into
- * /healthz.
- */
-std::string buildInfoJsonFields();
 
 } // namespace rfl::telemetry
 

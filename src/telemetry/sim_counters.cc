@@ -43,24 +43,6 @@ registerSimCollector(Registry &registry)
     Counter &runRecords = registry.counter(
         "rfl_sim_coalesced_records_total",
         "records retired inside coalesced runs");
-    Counter &simdSpans = registry.counter(
-        "rfl_sim_simd_spans_total",
-        "spans consumed through the SIMD classification pre-pass");
-    Counter &simdRecords = registry.counter(
-        "rfl_sim_simd_records_total",
-        "records classified by the SIMD pre-pass");
-    Counter &simdRuns = registry.counter(
-        "rfl_sim_simd_runs_total",
-        "guaranteed-hit same-line runs bulk-applied");
-    Counter &simdRunRecords = registry.counter(
-        "rfl_sim_simd_run_records_total",
-        "records retired inside bulk-applied runs");
-    Counter &parallelDrains = registry.counter(
-        "rfl_sim_parallel_drains_total",
-        "drainParallel sessions merged");
-    Counter &parallelOps = registry.counter(
-        "rfl_sim_parallel_shared_ops_total",
-        "deferred shared-state ops replayed by parallel-drain merges");
     return registry.addCollector([&] {
         const SimCounters &sc = simCounters();
         drains.mirror(sc.drains.load(std::memory_order_relaxed));
@@ -72,17 +54,6 @@ registerSimCollector(Registry &registry)
         runs.mirror(sc.coalescedRuns.load(std::memory_order_relaxed));
         runRecords.mirror(
             sc.coalescedRecords.load(std::memory_order_relaxed));
-        simdSpans.mirror(sc.simdSpans.load(std::memory_order_relaxed));
-        simdRecords.mirror(
-            sc.simdRecords.load(std::memory_order_relaxed));
-        simdRuns.mirror(
-            sc.simdRuns.load(std::memory_order_relaxed));
-        simdRunRecords.mirror(
-            sc.simdRunRecords.load(std::memory_order_relaxed));
-        parallelDrains.mirror(
-            sc.parallelDrains.load(std::memory_order_relaxed));
-        parallelOps.mirror(
-            sc.parallelSharedOps.load(std::memory_order_relaxed));
     });
 }
 

@@ -51,18 +51,6 @@ struct SimCounters
     std::atomic<uint64_t> coalescedRuns{0};
     /** Records retired inside coalesced runs. */
     std::atomic<uint64_t> coalescedRecords{0};
-    /** Spans consumed through the SIMD classification pre-pass. */
-    std::atomic<uint64_t> simdSpans{0};
-    /** Records classified by the pre-pass. */
-    std::atomic<uint64_t> simdRecords{0};
-    /** Multi-line coalescing windows bulk-applied. */
-    std::atomic<uint64_t> simdRuns{0};
-    /** Records retired inside those windows. */
-    std::atomic<uint64_t> simdRunRecords{0};
-    /** drainParallel() sessions merged. */
-    std::atomic<uint64_t> parallelDrains{0};
-    /** Deferred shared-state ops replayed across all merges. */
-    std::atomic<uint64_t> parallelSharedOps{0};
 
     void
     reset()
@@ -73,12 +61,6 @@ struct SimCounters
         records = 0;
         coalescedRuns = 0;
         coalescedRecords = 0;
-        simdSpans = 0;
-        simdRecords = 0;
-        simdRuns = 0;
-        simdRunRecords = 0;
-        parallelDrains = 0;
-        parallelSharedOps = 0;
     }
 };
 

@@ -80,20 +80,11 @@ struct AccessBatch
     uint32_t n = 0; ///< live records (planes beyond n are garbage)
 
     /**
-     * Producer hint: number of records carrying kindFlagSameLine. The
-     * consume loop compares it against the record count to pick a
-     * consume strategy (mask-driven run mining pays off only when runs
-     * are dense; see Machine::simulateBatchSpan). Derivable metadata —
-     * not serialized, zero for decoded replays.
-     */
-    uint32_t sameLineHints = 0;
-
-    /**
      * Producer hint: the batch belongs to a dependent-chain access
      * stream (Machine::setDependentAccesses was on when it was filled).
      * The consume loop routes such batches through the direct
      * no-coalescing loop — a pointer chase has no same-line runs worth
-     * mining, so the classification pre-pass is pure overhead there.
+     * mining, so the run scan is pure overhead there.
      * Derivable metadata like kindFlagSameLine: not serialized; the
      * trace reader leaves it false and the machine-level knob governs
      * replay.
@@ -115,7 +106,6 @@ struct AccessBatch
     clear()
     {
         n = 0;
-        sameLineHints = 0;
         dependent = false;
     }
 
@@ -137,7 +127,6 @@ struct AccessBatch
         const uint32_t i = n;
         kind[i] = static_cast<uint8_t>(k) |
                   (same_line ? kindFlagSameLine : 0);
-        sameLineHints += same_line;
         core[i] = static_cast<uint16_t>(c);
         size[i] = bytes;
         addr[i] = byte_addr;

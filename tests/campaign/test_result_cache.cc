@@ -80,6 +80,20 @@ TEST(Serialize, EncodingIsStable)
               encodeMeasurement(m));
 }
 
+TEST(Serialize, TryParseRejectsDeepNesting)
+{
+    // Deep enough to overflow the stack without the parser's depth
+    // bound; it must fail cleanly instead.
+    Json out;
+    EXPECT_FALSE(Json::tryParse(std::string(100000, '['), &out));
+    EXPECT_FALSE(Json::tryParse(std::string(100000, '[') +
+                                    std::string(100000, ']'),
+                                &out));
+    // Shallow nesting still parses.
+    ASSERT_TRUE(Json::tryParse("[[[{\"a\":[1]}]]]", &out));
+    EXPECT_EQ(out.dump(), "[[[{\"a\":[1]}]]]");
+}
+
 TEST(ResultCache, MemoryHitsAndMisses)
 {
     ResultCache cache;

@@ -266,6 +266,9 @@ TEST(CampaignSpecDeath, InvalidSpecs)
     EXPECT_EXIT(
         parseCampaignSpec("variant = v: protocol=lukewarm\n"),
         ::testing::ExitedWithCode(1), "cold|warm");
+    EXPECT_EXIT(parseCampaignSpec("variant = v: drain_threads=2\n"),
+                ::testing::ExitedWithCode(1),
+                "unknown variant option 'drain_threads'");
 }
 
 } // namespace

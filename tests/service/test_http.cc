@@ -181,6 +181,25 @@ TEST_F(HttpServiceTest, JsonEnvelopeSubmissionWorks)
     EXPECT_EQ(resp.status, 400);
 }
 
+TEST_F(HttpServiceTest, DeeplyNestedJsonBodyAnswers400AndServerSurvives)
+{
+    HttpClient client("127.0.0.1", server_->port());
+    ClientResponse resp;
+
+    // ~800 KB of nested brackets: deep enough to overflow the stack of
+    // an unbounded recursive-descent parser.
+    const size_t depth = 400000;
+    const std::string body = "{\"spec\":" + std::string(depth, '[') +
+                             std::string(depth, ']') + "}";
+    ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, body,
+                               "application/json"));
+    EXPECT_EQ(resp.status, 400) << resp.body;
+
+    HttpClient probe("127.0.0.1", server_->port());
+    ASSERT_TRUE(probe.request("GET", "/healthz", &resp));
+    EXPECT_EQ(resp.status, 200);
+}
+
 TEST_F(HttpServiceTest, ArtifactEndpointsByteMatchOfflineCli)
 {
     HttpClient client("127.0.0.1", server_->port());

@@ -32,7 +32,6 @@
 #include <string>
 
 #include "kernels/engine.hh"
-#include "kernels/parallel_drain.hh"
 #include "kernels/registry.hh"
 #include "sim/machine.hh"
 #include "support/address_arena.hh"
@@ -81,8 +80,6 @@ struct RunOpts
     int cores = 1;
     bool prefetch = true;
     bool flush = true; ///< end with flushAllCaches (writeback coverage)
-    /** SIMD classification pre-pass in simulateBatch (Batched mode). */
-    bool simd = true;
     /** Records buffered per flush (Batched mode only). */
     uint32_t batchLimit = rfl::trace::AccessBatch::capacity;
 };
@@ -93,7 +90,6 @@ runKernel(const std::string &spec, PathMode mode, const RunOpts &opts)
     Machine machine(MachineConfig::defaultPlatform());
     machine.setFastPath(mode != PathMode::Reference);
     machine.setPrefetchEnabled(opts.prefetch);
-    machine.setSimdClassify(opts.simd);
 
     AddressArena::Scope scope;
     auto kernel = kernels::createKernel(spec);
@@ -367,17 +363,6 @@ TEST(BatchedEquivalence, WithoutTrailingFlush)
                        std::string(name) + " no-flush");
 }
 
-/** The SIMD classification pre-pass is a pure accelerator: with it
- *  disabled (scalar window building), every kernel still matches the
- *  reference bit-for-bit — including at adversarial flush boundaries. */
-TEST(BatchedEquivalence, EveryKernelSimdClassifyOff)
-{
-    RunOpts opts;
-    opts.simd = false;
-    for (const auto &[name, spec] : smallSpecs())
-        compareBatched(spec, opts, name + " simd=off");
-}
-
 /** A batch interleaving records of several cores, consumed without a
  *  core override, must split into same-core spans and match the
  *  per-access call sequence (the path multi-core trace replays use). */
@@ -414,97 +399,6 @@ TEST(BatchedEquivalence, MultiCoreBatchSegmentation)
 
     expectEqual(direct.snapshot(), batched.snapshot(),
                 "multi-core segmentation");
-}
-
-// ---------------------------------------------------------------------
-// Parallel drain golden tests: reference vs Machine::drainParallel.
-// ---------------------------------------------------------------------
-
-/** runKernel() counterpart that drains the per-core streams through
- *  runPartitionedParallel() on @p threads host threads. */
-Machine::Snapshot
-runKernelParallel(const std::string &spec, int threads,
-                  const RunOpts &opts)
-{
-    Machine machine(MachineConfig::defaultPlatform());
-    machine.setFastPath(true);
-    machine.setPrefetchEnabled(opts.prefetch);
-    machine.setSimdClassify(opts.simd);
-
-    AddressArena::Scope scope;
-    auto kernel = kernels::createKernel(spec);
-    kernel->init(42);
-    machine.setDependentAccesses(kernel->dependentAccesses());
-
-    const int parts = kernel->parallelizable() ? opts.cores : 1;
-    std::vector<int> cores;
-    for (int c = 0; c < parts; ++c)
-        cores.push_back(c);
-
-    const Machine::Snapshot before = machine.snapshot();
-    kernels::runPartitionedParallel(machine, *kernel, cores, opts.lanes,
-                                    true, threads);
-    if (opts.flush)
-        machine.flushAllCaches();
-    return machine.snapshot() - before;
-}
-
-/** Host thread counts: the degenerate single worker (defer + merge with
- *  no concurrency), a real 2-way split, and oversubscription (8 workers
- *  on however many host cores exist). */
-const int kThreadCounts[] = {1, 2, 8};
-
-/** Every registered kernel: snapshots are bit-identical to the
- *  sequential reference for every host thread count, single-core
- *  partitioning (the degenerate session every kernel supports). */
-TEST(ParallelDrainEquivalence, EveryKernelAcrossThreadCounts)
-{
-    for (const auto &[name, spec] : smallSpecs()) {
-        const Machine::Snapshot ref =
-            runKernel(spec, PathMode::Reference, RunOpts{});
-        for (int threads : kThreadCounts)
-            expectEqual(ref, runKernelParallel(spec, threads, RunOpts{}),
-                        name + " [parallel t=" +
-                            std::to_string(threads) + "]");
-    }
-}
-
-/** Multi-core partitions: four per-core streams draining concurrently,
- *  shared L3/IMC effects merged deterministically. */
-TEST(ParallelDrainEquivalence, StreamingKernelsMultiCore)
-{
-    RunOpts opts;
-    opts.cores = 4; // spans both sockets' cores on the default platform
-    for (const char *name : {"daxpy", "triad", "triad-nt", "dot"}) {
-        const std::string &spec = smallSpecs().at(name);
-        const Machine::Snapshot ref =
-            runKernel(spec, PathMode::Reference, opts);
-        for (int threads : kThreadCounts)
-            expectEqual(ref, runKernelParallel(spec, threads, opts),
-                        std::string(name) + " cores=4 [parallel t=" +
-                            std::to_string(threads) + "]");
-    }
-}
-
-/** Parallel drain with the scalar window builder (SIMD off) and with
- *  prefetchers off: the deferred-op log must be identical no matter
- *  which classification path produced it. */
-TEST(ParallelDrainEquivalence, SimdOffAndPrefetchOff)
-{
-    RunOpts opts;
-    opts.cores = 4;
-    opts.simd = false;
-    opts.prefetch = false;
-    for (const char *name : {"daxpy", "triad-nt", "stencil3"}) {
-        const std::string &spec = smallSpecs().at(name);
-        const Machine::Snapshot ref =
-            runKernel(spec, PathMode::Reference, opts);
-        for (int threads : kThreadCounts)
-            expectEqual(ref, runKernelParallel(spec, threads, opts),
-                        std::string(name) +
-                            " simd=off pf=off [parallel t=" +
-                            std::to_string(threads) + "]");
-    }
 }
 
 } // namespace

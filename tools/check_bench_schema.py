@@ -2,9 +2,9 @@
 """Validate the schema of rfl's machine-readable JSON artifacts.
 
 Four document kinds are recognized by content:
-  - BENCH_sim_throughput.json perf-trajectory files (schema v3,
-    bench == "sim_throughput": batched-mode entries, the parallel-drain
-    scaling sweep, and the non-streaming batched-parity gate),
+  - BENCH_sim_throughput.json perf-trajectory files (schema v4,
+    bench == "sim_throughput": batched-mode entries and the
+    non-streaming batched-parity gate),
   - BENCH_service_throughput.json service-load files (schema v1,
     bench == "service_throughput") produced by bench/service_throughput
     against the roofline-as-a-service daemon (src/service/),
@@ -64,9 +64,8 @@ def finite_number(obj: dict, key: str, ctx: str) -> float:
 def check_bench(doc: dict) -> None:
     if require(doc, "bench", str) != "sim_throughput":
         fail("bench name is not 'sim_throughput'")
-    if require(doc, "schema_version", int) != 3:
-        fail("unknown schema_version (expected 3: batched-mode entries "
-             "+ drain_scaling section)")
+    if require(doc, "schema_version", int) != 4:
+        fail("unknown schema_version (expected 4: batched-mode entries)")
     require(doc, "unit", str)
     rfl_fast = require(doc, "rfl_fast", bool)
     # Non-streaming workloads must not regress under batching: the
@@ -108,40 +107,14 @@ def check_bench(doc: dict) -> None:
                  f"{w['batched_speedup']:.3f} below {batched_floor:.2f} "
                  f"(latency fast path regressed)")
 
-    # The trajectory tooling keys on these two workloads existing.
-    for required in ("raw-l1-streak", "daxpy-scalar"):
+    # The trajectory tooling keys on these workloads existing, and the
+    # parity gate above is only meaningful with the dependent chain in.
+    for required in ("raw-l1-streak", "daxpy-scalar", "pointer-chase"):
         if required not in names:
             fail(f"required workload '{required}' missing")
 
-    # v3: parallel-drain scaling sweep (wall-clock only; the counters
-    # are bit-identical across thread counts by construction).
-    drain = require(doc, "drain_scaling", dict)
-    require(drain, "workload", str)
-    cores = require(drain, "cores", list)
-    if len(cores) < 2:
-        fail("drain_scaling.cores must list >= 2 simulated cores")
-    rows = require(drain, "rows", list)
-    threads_seen = set()
-    for r in rows:
-        if not isinstance(r, dict):
-            fail("drain_scaling row is not an object")
-        threads = require(r, "threads", int)
-        if threads in threads_seen:
-            fail(f"duplicate drain_scaling row for {threads} threads")
-        threads_seen.add(threads)
-        if finite_number(r, "accesses_per_sec", "drain_scaling") <= 0:
-            fail("drain_scaling: accesses_per_sec must be positive")
-        if finite_number(r, "speedup_vs_one_thread",
-                         "drain_scaling") <= 0:
-            fail("drain_scaling: speedup_vs_one_thread must be positive")
-    for required_threads in (1, 2, 4, 8):
-        if required_threads not in threads_seen:
-            fail(f"drain_scaling row for {required_threads} threads "
-                 f"missing")
-
     print(f"{sys.argv[1]}: schema OK "
           f"({len(workloads)} workloads, "
-          f"{len(rows)} drain-scaling rows, "
           f"hot-loop speedup {doc['hot_loop_speedup']:.2f}x, "
           f"batched {doc['batched_hot_loop_speedup']:.2f}x)")
 

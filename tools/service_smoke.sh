@@ -38,14 +38,14 @@ echo "daemon on $BASE"
 
 curl -fsS "$BASE/healthz" > "$WORK/health.json"
 grep -q '"status":"ok"' "$WORK/health.json"
-# Build identity must be attributable: sha/compiler/simd in /healthz.
+# Build identity must be attributable: sha/compiler in /healthz.
 python3 - "$WORK/health.json" <<'EOF'
 import json, sys
 build = json.load(open(sys.argv[1]))["build"]
-for key in ("git_sha", "compiler", "build_type", "simd", "profiler"):
+for key in ("git_sha", "compiler", "build_type", "profiler"):
     assert key in build, (key, build)
 print("healthz build OK:", build["git_sha"], build["compiler"],
-      build["simd"], "profiler" if build["profiler"] else "no-profiler")
+      "profiler" if build["profiler"] else "no-profiler")
 EOF
 
 # PMU capability: the /healthz pmu block must agree with the CLI probe
