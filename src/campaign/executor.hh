@@ -2,16 +2,20 @@
  * @file
  * Campaign executor: runs a JobGraph across host threads.
  *
- * Each job executes on its own Experiment (own sim::Machine built from
- * the job's machine config), so jobs share no mutable state and the
- * expansion is embarrassingly parallel: the simulator is deterministic
- * and its timing model is independent of host wall time, which makes the
- * aggregated results identical for any thread count.
+ * Each job executes on its own sim::Machine built from the job's
+ * machine config, so jobs share no mutable state and the expansion is
+ * embarrassingly parallel: the simulator is deterministic and its timing
+ * model is independent of host wall time, which makes the aggregated
+ * results identical for any thread count.
  *
  * Scheduling: jobs whose dependencies are satisfied are submitted to the
  * ThreadPool; completing a job decrements its dependents' counters and
  * submits the newly-ready ones. Before simulating, each job consults the
- * ResultCache; a hit skips simulation entirely.
+ * ResultCache; a hit skips simulation entirely. A Ceiling job that
+ * misses fans its independent parts (roofline::ceilingParts) across the
+ * same pool with ThreadPool::parallelFor, each part on a Machine of its
+ * own, and merges them in their fixed order — the model does not depend
+ * on which thread measured what.
  */
 
 #ifndef RFL_CAMPAIGN_EXECUTOR_HH
@@ -74,7 +78,8 @@ struct JobResult
     TraceInfo trace;
     /** Filled for PhaseSample jobs. */
     analysis::PhaseTrajectory phases;
-    /** What this job cost its worker thread (zeros for cache hits —
+    /** What this job cost its worker thread, plus the helper threads
+     *  a cold ceiling job fans its parts to (zeros for cache hits —
      *  the probe is not worth a rusage syscall pair). */
     telemetry::ResourceDelta resources;
 };
@@ -158,7 +163,8 @@ class CampaignExecutor
      *  TimedOutError when a job overran its deadline — leaving no
      *  background work behind. When @p tracer is non-null, every job
      *  records a span tree (cache-probe / machine-build / simulate /
-     *  encode) into it. */
+     *  encode, plus one ceiling-part span per part of a cold ceiling)
+     *  into it. */
     CampaignRun run(const CampaignSpec &spec,
                     telemetry::Tracer *tracer = nullptr) const;
 

@@ -27,7 +27,15 @@ escape(const std::string &s)
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default: out += c;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
         }
     }
     return out;
@@ -140,6 +148,21 @@ class Parser
                   case 'n': c = '\n'; break;
                   case 't': c = '\t'; break;
                   case 'r': c = '\r'; break;
+                  case 'u': {
+                    // escape() writes control bytes as \u00XX; the
+                    // ASCII range decodes to that one byte.
+                    const std::string hex = text_.substr(pos_, 4);
+                    if (hex.size() != 4 ||
+                        hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                            std::string::npos)
+                        fail("bad escape");
+                    const unsigned long cp = std::stoul(hex, nullptr, 16);
+                    if (cp >= 0x80)
+                        fail("unsupported escape");
+                    pos_ += 4;
+                    c = static_cast<char>(cp);
+                    break;
+                  }
                   default: fail("unsupported escape");
                 }
             }

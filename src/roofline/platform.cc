@@ -1,7 +1,5 @@
 #include "roofline/platform.hh"
 
-#include <algorithm>
-
 #include "kernels/engine.hh"
 #include "kernels/kernel.hh"
 #include "support/aligned_buffer.hh"
@@ -171,25 +169,30 @@ PlatformProbe::bandwidthPeak(const std::vector<int> &cores, BwProbe probe,
     return r;
 }
 
-BandwidthResult
-PlatformProbe::bestBandwidth(const std::vector<int> &cores,
-                             size_t buf_doubles)
+double
+PlatformProbe::measurePart(const std::vector<int> &cores,
+                           const CeilingPart &part)
 {
-    BandwidthResult best;
-    for (BwProbe probe : allBwProbes()) {
-        const BandwidthResult r = bandwidthPeak(cores, probe, buf_doubles);
-        if (r.bytesPerSec > best.bytesPerSec)
-            best = r;
-    }
-    return best;
+    if (part.compute)
+        return computePeak(cores, part.lanes, part.fma);
+    return bandwidthPeak(cores, part.probe).bytesPerSec;
 }
 
 RooflineModel
 PlatformProbe::characterize(const std::vector<int> &cores)
 {
-    const sim::CoreConfig &cc = machine_.config().core;
-    RooflineModel model;
+    const std::vector<CeilingPart> parts =
+        ceilingParts(machine_.config().core);
+    std::vector<double> values;
+    values.reserve(parts.size());
+    for (const CeilingPart &part : parts)
+        values.push_back(measurePart(cores, part));
+    return assembleCeilings(parts, values);
+}
 
+std::vector<CeilingPart>
+ceilingParts(const sim::CoreConfig &core)
+{
     auto width_name = [](int lanes) -> std::string {
         switch (lanes) {
           case 1: return "scalar";
@@ -197,31 +200,49 @@ PlatformProbe::characterize(const std::vector<int> &cores)
           case 4: return "AVX";
           case 8: return "AVX-512";
         }
-        return "w" + std::to_string(lanes);
+        return std::string("w").append(std::to_string(lanes));
     };
 
-    model.addComputeCeiling(width_name(1), computePeak(cores, 1, false));
-    if (cc.hasFma) {
-        model.addComputeCeiling(width_name(1) + "+FMA",
-                                computePeak(cores, 1, true));
-    }
-    if (cc.maxVectorDoubles > 1) {
-        const int w = cc.maxVectorDoubles;
-        model.addComputeCeiling(width_name(w),
-                                computePeak(cores, w, false));
-        if (cc.hasFma) {
-            model.addComputeCeiling(width_name(w) + "+FMA",
-                                    computePeak(cores, w, true));
+    std::vector<CeilingPart> parts;
+    std::vector<int> widths = {1};
+    if (core.maxVectorDoubles > 1)
+        widths.push_back(core.maxVectorDoubles);
+    for (int lanes : widths) {
+        parts.push_back({true, lanes, false, BwProbe::Read,
+                         width_name(lanes)});
+        if (core.hasFma) {
+            parts.push_back({true, lanes, true, BwProbe::Read,
+                             width_name(lanes) + "+FMA"});
         }
     }
+    for (BwProbe probe : allBwProbes())
+        parts.push_back({false, 1, false, probe, bwProbeName(probe)});
+    return parts;
+}
 
-    const BandwidthResult read = bandwidthPeak(cores, BwProbe::Read);
-    model.addBandwidthCeiling("read", read.bytesPerSec);
-    const BandwidthResult best = bestBandwidth(cores);
-    if (best.probe != BwProbe::Read) {
-        model.addBandwidthCeiling(std::string(bwProbeName(best.probe)),
-                                  best.bytesPerSec);
+RooflineModel
+assembleCeilings(const std::vector<CeilingPart> &parts,
+                 const std::vector<double> &values)
+{
+    RFL_ASSERT(parts.size() == values.size());
+    RooflineModel model;
+    const CeilingPart *best = nullptr;
+    double bestValue = 0.0;
+    for (size_t i = 0; i < parts.size(); ++i) {
+        const CeilingPart &part = parts[i];
+        if (part.compute) {
+            model.addComputeCeiling(part.name, values[i]);
+            continue;
+        }
+        if (part.probe == BwProbe::Read)
+            model.addBandwidthCeiling(part.name, values[i]);
+        if (values[i] > bestValue) {
+            best = &part;
+            bestValue = values[i];
+        }
     }
+    if (best && best->probe != BwProbe::Read)
+        model.addBandwidthCeiling(best->name, bestValue);
     return model;
 }
 

@@ -8,9 +8,15 @@
  *     loop (the paper's runtime-generated assembly benchmark) per
  *     scenario (width x FMA x core set).
  *   - Peak bandwidth is measured as the best of several streaming probes
- *     (read / copy / scale / triad / nt-set) over a buffer several times
- *     the LLC, with traffic read from the IMC counters, so the beta used
- *     for the roof is consistent with the Q used for kernel points.
+ *     (read / copy / scale / triad / nt-set) over a buffer twice the
+ *     total LLC, with traffic read from the IMC counters, so the beta
+ *     used for the roof is consistent with the Q used for kernel points.
+ *
+ * A scenario's ceiling set is a fixed list of independent parts (see
+ * ceilingParts()): each compute peak and each bandwidth probe measures
+ * on a reset machine and depends on no other part, so the parts may run
+ * in any order, each on its own Machine, and assembleCeilings() merges
+ * their values into the same model characterize() builds serially.
  */
 
 #ifndef RFL_ROOFLINE_PLATFORM_HH
@@ -50,6 +56,33 @@ struct BandwidthResult
     double usefulBytesPerSec = 0.0; ///< application bytes / time
 };
 
+/** One independently measured value of a scenario's ceiling set. */
+struct CeilingPart
+{
+    bool compute = false;          ///< compute peak, else bandwidth probe
+    int lanes = 1;                 ///< compute: vector width in doubles
+    bool fma = false;              ///< compute: FMA issue
+    BwProbe probe = BwProbe::Read; ///< bandwidth: probe flavor
+    std::string name;              ///< e.g. "scalar+FMA", "AVX", "triad"
+};
+
+/**
+ * The fixed part list of a scenario on @p core: the compute peaks
+ * scalar, scalar+FMA, full width, full width+FMA (FMA parts only when
+ * the core has FMA, full-width parts only when it is wider than
+ * scalar), then every bandwidth probe in allBwProbes() order.
+ */
+std::vector<CeilingPart> ceilingParts(const sim::CoreConfig &core);
+
+/**
+ * Merge part values (flops/s or IMC bytes/s, indexed like @p parts)
+ * into a model in list order: every compute peak, then the read
+ * bandwidth, then the best probe if it is not read (strictly greater
+ * wins; on a tie the earlier probe stays best).
+ */
+RooflineModel assembleCeilings(const std::vector<CeilingPart> &parts,
+                               const std::vector<double> &values);
+
 /**
  * Measures ceilings on a simulated machine. The machine is reset between
  * probes; prefetcher setting is preserved.
@@ -69,19 +102,19 @@ class PlatformProbe
 
     /**
      * Measured peak bandwidth for one probe flavor over @p buf_doubles
-     * doubles (0 = 4x the total LLC capacity). Cold caches.
+     * doubles (0 = 2x the total LLC capacity). Cold caches.
      */
     BandwidthResult bandwidthPeak(const std::vector<int> &cores,
                                   BwProbe probe, size_t buf_doubles = 0);
 
-    /** Best bandwidth across all probe flavors. */
-    BandwidthResult bestBandwidth(const std::vector<int> &cores,
-                                  size_t buf_doubles = 0);
+    /** Measure one part: flops/s for a compute peak, IMC bytes/s for a
+     *  bandwidth probe. */
+    double measurePart(const std::vector<int> &cores,
+                       const CeilingPart &part);
 
     /**
-     * Standard ceiling set for a scenario: compute ceilings for scalar /
-     * half-width / full-width (x FMA when available), bandwidth ceilings
-     * for read and best-streaming.
+     * Standard ceiling set for a scenario: every ceilingParts() part
+     * measured in list order on this machine, then assembleCeilings().
      */
     RooflineModel characterize(const std::vector<int> &cores);
 

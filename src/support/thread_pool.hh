@@ -16,15 +16,24 @@
  * service job queue — sees worker failures as ordinary exceptions.
  * Later exceptions from the same batch are dropped (first one wins);
  * the pool stays usable after the rethrow.
+ *
+ * parallelFor() fans one loop's iterations across the workers from
+ * inside a running task (the executor splits a ceiling job's probes
+ * this way). The caller claims iterations too, so it never waits for a
+ * worker that is busy elsewhere: the loop completes even on a 1-thread
+ * pool whose only worker is the caller.
  */
 
 #ifndef RFL_SUPPORT_THREAD_POOL_HH
 #define RFL_SUPPORT_THREAD_POOL_HH
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -93,6 +102,58 @@ class ThreadPool
         }
         if (failure)
             std::rethrow_exception(failure);
+    }
+
+    /**
+     * Run fn(i) once for every i in [0, n) and return when all have
+     * finished. Indices are claimed from an atomic counter by helper
+     * tasks and by the calling thread, which only ever waits for parts
+     * other threads are already running; safe to call from inside a
+     * task. Once a part throws, unclaimed indices are skipped and the
+     * first exception is rethrown here after every in-flight part has
+     * finished. Helper tasks that start after the return find nothing
+     * to claim and never touch @p fn.
+     */
+    void parallelFor(size_t n, const std::function<void(size_t)> &fn)
+    {
+        struct Loop
+        {
+            std::atomic<size_t> next{0};
+            std::atomic<bool> failed{false};
+            std::mutex mutex;
+            std::condition_variable finished;
+            size_t done = 0; ///< claimed indices run or skipped
+            std::exception_ptr failure;
+        };
+        const auto loop = std::make_shared<Loop>();
+        const std::function<void(size_t)> *body = &fn;
+        const auto claim = [loop, body, n] {
+            for (size_t i; (i = loop->next.fetch_add(1)) < n;) {
+                std::exception_ptr failure;
+                if (!loop->failed.load()) {
+                    try {
+                        (*body)(i);
+                    } catch (...) {
+                        failure = std::current_exception();
+                    }
+                }
+                std::lock_guard<std::mutex> lock(loop->mutex);
+                if (failure && !loop->failure) {
+                    loop->failure = failure;
+                    loop->failed.store(true);
+                }
+                if (++loop->done == n)
+                    loop->finished.notify_all();
+            }
+        };
+        const size_t helpers = std::min(n > 0 ? n - 1 : 0, workers_.size());
+        for (size_t h = 0; h < helpers; ++h)
+            submit(claim);
+        claim();
+        std::unique_lock<std::mutex> lock(loop->mutex);
+        loop->finished.wait(lock, [&loop, n] { return loop->done == n; });
+        if (loop->failure)
+            std::rethrow_exception(loop->failure);
     }
 
     int threadCount() const { return static_cast<int>(workers_.size()); }

@@ -13,6 +13,7 @@
 
 #include "campaign/executor.hh"
 #include "campaign/sink.hh"
+#include "roofline/platform.hh"
 #include "support/cancel.hh"
 
 namespace
@@ -82,6 +83,55 @@ TEST(CampaignExecutor, ResultsIndependentOfThreadCount)
         EXPECT_EQ(run1.modelFor(0, vi).peakBandwidth(),
                   runN.modelFor(0, vi).peakBandwidth());
     }
+}
+
+TEST(CampaignExecutor, ColdCeilingPartsFanOutWithIdenticalResults)
+{
+    // A cold ceiling job spreads its parts over the pool; models and
+    // measurements must still match a 1-thread run byte for byte.
+    CampaignSpec spec = smallCampaign();
+    RunOptions nopf;
+    nopf.measure.repetitions = 1;
+    nopf.prefetchEnabled = false;
+    spec.addVariant("nopf-1c", nopf);
+
+    ExecutorOptions serial;
+    serial.threads = 1;
+    const CampaignRun run1 = CampaignExecutor(serial).run(spec);
+
+    rfl::telemetry::Tracer tracer;
+    ExecutorOptions parallel;
+    parallel.threads = 4;
+    const CampaignRun runN = CampaignExecutor(parallel).run(spec, &tracer);
+
+    ASSERT_EQ(run1.jobs.size(), runN.jobs.size());
+    size_t ceilings = 0;
+    for (const Job &job : run1.jobs) {
+        const JobResult &a = run1.results[job.id];
+        const JobResult &b = runN.results[job.id];
+        if (job.kind == JobKind::Ceiling) {
+            ++ceilings;
+            EXPECT_EQ(encodeModel(a.model), encodeModel(b.model));
+        } else {
+            EXPECT_EQ(encodeMeasurement(a.measurement),
+                      encodeMeasurement(b.measurement));
+        }
+    }
+
+    // One ceiling-part span per part of every ceiling job, each naming
+    // its probe.
+    const size_t parts =
+        rfl::roofline::ceilingParts(spec.machines()[0].config.core)
+            .size();
+    size_t partSpans = 0;
+    for (const rfl::telemetry::SpanRecord &rec : tracer.spans()) {
+        if (rec.name != "ceiling-part")
+            continue;
+        ++partSpans;
+        ASSERT_EQ(rec.attrs.size(), 1u);
+        EXPECT_EQ(rec.attrs[0].first, "probe");
+    }
+    EXPECT_EQ(partSpans, ceilings * parts);
 }
 
 TEST(CampaignExecutor, SecondRunIsAllCacheHits)

@@ -133,6 +133,43 @@ TEST(ResultCache, SpillPersistsAcrossInstances)
     std::remove(path.c_str());
 }
 
+TEST(ResultCache, ControlBytesSpillAsValidJson)
+{
+    // Raw bytes below 0x20 are invalid inside a JSON string: the spill
+    // must escape them (\u00XX) and decode them back on reload.
+    const std::string path =
+        ::testing::TempDir() + "rfl_cache_ctl_test.jsonl";
+    std::remove(path.c_str());
+
+    const std::string key = "measure|abc|k\x01:n=\x1f|protocol=cold";
+    rfl::roofline::Measurement m = sampleMeasurement();
+    m.kernel = "dax\x01py\x1f";
+    const std::string payload = encodeMeasurement(m);
+    {
+        ResultCache cache(path);
+        cache.store(key, payload);
+    }
+
+    std::ifstream in(path);
+    std::string line;
+    size_t lines = 0;
+    while (std::getline(in, line)) {
+        ++lines;
+        for (char c : line)
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << line;
+        rfl::campaign::Json doc;
+        EXPECT_TRUE(rfl::campaign::Json::tryParse(line, &doc)) << line;
+    }
+    EXPECT_EQ(lines, 1u);
+
+    ResultCache cache(path);
+    std::string got;
+    ASSERT_TRUE(cache.lookup(key, &got));
+    EXPECT_EQ(got, payload);
+    EXPECT_EQ(decodeMeasurement(got).kernel, m.kernel);
+    std::remove(path.c_str());
+}
+
 TEST(ResultCache, CorruptSpillLinesAreQuarantinedNotFatal)
 {
     const std::string path =

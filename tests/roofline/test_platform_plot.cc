@@ -1,13 +1,18 @@
 /** @file Tests for platform probing and roofline plotting. */
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <random>
 
 #include <gtest/gtest.h>
 
+#include "campaign/serialize.hh"
 #include "roofline/platform.hh"
 #include "roofline/plot.hh"
 #include "sim/machine.hh"
+#include "support/thread_pool.hh"
 
 namespace
 {
@@ -103,6 +108,90 @@ TEST(PlatformScenarios, CoreSetHelpers)
               "single socket");
     EXPECT_EQ(scenarioName(machine, allCores(machine)), "2 sockets");
     EXPECT_EQ(scenarioName(machine, {0, 1}), "2 cores");
+}
+
+TEST(PlatformParts, ShuffledPartsAssembleToCharacterize)
+{
+    // Every part measured on its own freshly built machine, in a
+    // shuffled order, must merge into the model serial characterize()
+    // builds on one machine, byte for byte. The cases are independent,
+    // so they share a pool to keep the test's wall time down.
+    struct Case
+    {
+        sim::MachineConfig config;
+        const char *scenario;
+        bool oneSocket;
+        bool prefetch;
+        std::string expected;
+        std::string assembled;
+    };
+    std::vector<Case> cases;
+    for (const sim::MachineConfig &config :
+         {sim::MachineConfig::defaultPlatform(),
+          sim::MachineConfig::smallTestMachine(),
+          sim::MachineConfig::scalarMachine()}) {
+        cases.push_back({config, "1 core", false, true, "", ""});
+        cases.push_back({config, "one socket numa=local", true, true, "",
+                         ""});
+        cases.push_back({config, "1 core prefetch off", false, false, "",
+                         ""});
+    }
+
+    ThreadPool pool(4);
+    pool.parallelFor(cases.size(), [&cases](size_t c) {
+        Case &tc = cases[c];
+        const auto build = [&tc] {
+            auto m = std::make_unique<sim::Machine>(tc.config);
+            m->setMemPolicy(sim::MemPolicy::LocalToAccessor);
+            m->setPrefetchEnabled(tc.prefetch);
+            return m;
+        };
+        const auto serial = build();
+        const std::vector<int> cores = tc.oneSocket
+                                           ? oneSocketCores(*serial)
+                                           : singleThreadCores(*serial);
+        tc.expected = campaign::encodeModel(
+            PlatformProbe(*serial).characterize(cores));
+
+        const std::vector<CeilingPart> parts =
+            ceilingParts(tc.config.core);
+        std::vector<size_t> order(parts.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::shuffle(order.begin(), order.end(), std::mt19937(13 + c));
+        std::vector<double> values(parts.size());
+        for (size_t i : order)
+            values[i] =
+                PlatformProbe(*build()).measurePart(cores, parts[i]);
+        tc.assembled =
+            campaign::encodeModel(assembleCeilings(parts, values));
+    });
+    for (const Case &tc : cases) {
+        EXPECT_FALSE(tc.expected.empty());
+        EXPECT_EQ(tc.assembled, tc.expected)
+            << tc.config.name << " / " << tc.scenario;
+    }
+}
+
+TEST(PlatformParts, AssembleKeepsReadAndTheFirstBestProbe)
+{
+    sim::CoreConfig core;
+    core.maxVectorDoubles = 1;
+    core.hasFma = false;
+    const std::vector<CeilingPart> parts = ceilingParts(core);
+    ASSERT_EQ(parts.size(), 6u); // scalar + five bandwidth probes
+    EXPECT_EQ(parts[0].name, "scalar");
+
+    // read, copy, scale, triad, nt-set: copy and triad tie for best.
+    RooflineModel model =
+        assembleCeilings(parts, {1e9, 5e9, 8e9, 6e9, 8e9, 7e9});
+    ASSERT_EQ(model.bandwidthCeilings().size(), 2u);
+    EXPECT_EQ(model.bandwidthCeilings()[0].name, "read");
+    EXPECT_EQ(model.bandwidthCeilings()[1].name, "copy");
+
+    // Read is the best: it appears once.
+    model = assembleCeilings(parts, {1e9, 9e9, 8e9, 6e9, 8e9, 7e9});
+    ASSERT_EQ(model.bandwidthCeilings().size(), 1u);
+    EXPECT_EQ(model.bandwidthCeilings()[0].name, "read");
 }
 
 RooflineModel

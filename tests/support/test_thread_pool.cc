@@ -1,8 +1,11 @@
 /** @file Tests for the campaign executor's host thread pool. */
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -166,6 +169,68 @@ TEST(ThreadPool, SingleThreadPoolIsSequential)
     ASSERT_EQ(order.size(), 10u);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexOnce)
+{
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallelFor(hits.size(), [&hits](size_t i) { ++hits[i]; });
+    for (size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    pool.parallelFor(0, [](size_t) { FAIL() << "empty loop ran"; });
+    pool.wait();
+}
+
+TEST(ThreadPool, ParallelForFromInsideATaskOnOneThread)
+{
+    // The only worker is the caller: it must run every part itself
+    // instead of waiting for a helper that can never start.
+    ThreadPool pool(1);
+    std::atomic<int> ran{0};
+    pool.submit([&pool, &ran] {
+        pool.parallelFor(16, [&ran](size_t) { ++ran; });
+    });
+    pool.wait();
+    EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterClaimedPartsFinish)
+{
+    ThreadPool pool(4);
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    std::atomic<bool> thrown{false};
+    try {
+        pool.parallelFor(8, [&](size_t i) {
+            ++started;
+            if (i == 0) {
+                // Let the other threads claim their parts first.
+                while (started.load() < 4)
+                    std::this_thread::yield();
+                thrown = true;
+                throw std::runtime_error("part 0 failed");
+            }
+            while (!thrown.load())
+                std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            ++finished;
+        });
+        FAIL() << "parallelFor() did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "part 0 failed");
+    }
+    // Every part that started (all but the thrower) had finished by the
+    // time the exception reached the caller.
+    EXPECT_GE(started.load(), 4);
+    EXPECT_EQ(finished.load(), started.load() - 1);
+
+    // The pool is usable afterwards, and the failure does not resurface.
+    std::atomic<int> ran{0};
+    pool.parallelFor(5, [&ran](size_t) { ++ran; });
+    pool.submit([&ran] { ++ran; });
+    pool.wait();
+    EXPECT_EQ(ran.load(), 6);
 }
 
 } // namespace
