@@ -7,6 +7,7 @@
 
 #include "campaign/serialize.hh"
 #include "support/csv.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 
@@ -15,8 +16,6 @@ namespace rfl::analysis
 
 namespace
 {
-
-using campaign::Json;
 
 /** Strict-JSON number: non-finite values are emitted as null. */
 Json
@@ -35,19 +34,6 @@ numberField(const Json &j)
 }
 
 Json
-ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings)
-{
-    Json arr = Json::makeArray();
-    for (const roofline::Ceiling &c : ceilings) {
-        Json obj = Json::makeObject();
-        obj.set("name", Json::makeString(c.name));
-        obj.set("value", Json::makeNumber(c.value));
-        arr.push(std::move(obj));
-    }
-    return arr;
-}
-
-Json
 scenarioToJson(const Scenario &s)
 {
     Json j = Json::makeObject();
@@ -57,9 +43,9 @@ scenarioToJson(const Scenario &s)
     j.set("peak_bandwidth", Json::makeNumber(s.model.peakBandwidth()));
     j.set("ridge", Json::makeNumber(s.model.ridgePoint()));
     j.set("compute_ceilings",
-          ceilingsToJson(s.model.computeCeilings()));
+          campaign::ceilingsToJson(s.model.computeCeilings()));
     j.set("bandwidth_ceilings",
-          ceilingsToJson(s.model.bandwidthCeilings()));
+          campaign::ceilingsToJson(s.model.bandwidthCeilings()));
     return j;
 }
 
@@ -69,12 +55,8 @@ scenarioFromJson(const Json &j)
     Scenario s;
     s.machine = j.at("machine").asString();
     s.variant = j.at("variant").asString();
-    for (const Json &c : j.at("compute_ceilings").asArray())
-        s.model.addComputeCeiling(c.at("name").asString(),
-                                  c.at("value").asNumber());
-    for (const Json &c : j.at("bandwidth_ceilings").asArray())
-        s.model.addBandwidthCeiling(c.at("name").asString(),
-                                    c.at("value").asNumber());
+    s.model = campaign::modelFromJson(j.at("compute_ceilings"),
+                                      j.at("bandwidth_ceilings"));
     return s;
 }
 
@@ -350,7 +332,7 @@ encodeAnalysis(const CampaignAnalysis &doc)
 
 CampaignAnalysis
 decodeAnalysis(const std::string &text)
-{
+try {
     const Json j = Json::parse(text);
     if (!j.has("kind") || j.at("kind").asString() != "rfl-analysis")
         fatal("analysis.json: missing kind 'rfl-analysis'");
@@ -371,6 +353,9 @@ decodeAnalysis(const std::string &text)
     for (const Json &r : j.at("phases").asArray())
         doc.phases.push_back(phaseRowFromJson(r));
     return doc;
+} catch (const JsonError &e) {
+    // A malformed file is the user's to fix: a message, not a crash.
+    fatal("analysis.json: %s", e.what());
 }
 
 CampaignAnalysis

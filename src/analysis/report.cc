@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/csv.hh"
+#include "support/escape.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 #include "telemetry/metrics.hh"

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/csv.hh"
+#include "support/escape.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 
@@ -172,23 +173,6 @@ emitCurve(std::ostringstream &svg, const Viewport &v,
 }
 
 } // namespace
-
-std::string
-escapeXml(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '&': out += "&amp;"; break;
-          case '<': out += "&lt;"; break;
-          case '>': out += "&gt;"; break;
-          case '"': out += "&quot;"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 std::string
 renderRooflineSvg(const roofline::RooflinePlot &plot,

@@ -21,6 +21,7 @@
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
 #include "support/hash.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "telemetry/metrics.hh"
@@ -314,23 +315,29 @@ executeJob(const CampaignSpec &spec, const Job &job,
         if (cache && cache->lookup(job.cacheKey, &payload)) {
             result.fromCache = true;
             bool valid = true;
-            switch (job.kind) {
-              case JobKind::Ceiling:
-                result.model = decodeModel(payload);
-                break;
-              case JobKind::TraceRecord:
-                // A cached recording is only as good as the file it
-                // points at: someone may have pruned the trace
-                // directory.
-                result.trace = decodeTraceInfo(payload);
-                valid = traceFileValid(result.trace);
-                break;
-              case JobKind::PhaseSample:
-                result.phases = decodePhaseTrajectory(payload);
-                break;
-              default:
-                result.measurement = decodeMeasurement(payload);
-                break;
+            // A payload of the wrong shape (hand-edited spill, other
+            // writer) costs one re-simulation, like a pruned trace.
+            try {
+                switch (job.kind) {
+                  case JobKind::Ceiling:
+                    result.model = decodeModel(payload);
+                    break;
+                  case JobKind::TraceRecord:
+                    // A cached recording is only as good as the file
+                    // it points at: someone may have pruned the trace
+                    // directory.
+                    result.trace = decodeTraceInfo(payload);
+                    valid = traceFileValid(result.trace);
+                    break;
+                  case JobKind::PhaseSample:
+                    result.phases = decodePhaseTrajectory(payload);
+                    break;
+                  default:
+                    result.measurement = decodeMeasurement(payload);
+                    break;
+                }
+            } catch (const JsonError &) {
+                valid = false;
             }
             if (valid) {
                 probe.attr("outcome", "hit");

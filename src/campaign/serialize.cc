@@ -1,261 +1,13 @@
 #include "campaign/serialize.hh"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
-
-#include "support/logging.hh"
 
 namespace rfl::campaign
 {
 
 namespace
 {
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-numberToText(double v)
-{
-    if (std::isnan(v))
-        return "nan";
-    if (std::isinf(v))
-        return v > 0 ? "inf" : "-inf";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Thrown by Parser on malformed input; never escapes this file. */
-struct ParseError
-{
-    const char *what;
-    size_t pos;
-};
-
-/**
- * Nesting bound of the parser. Every document this program writes nests
- * a few levels deep; the bound keeps a hostile body (e.g. an HTTP POST of
- * nested brackets) from recursing off the end of the stack.
- */
-constexpr int kMaxJsonDepth = 256;
-
-/** Recursive-descent parser over @p text; pos advances past the value. */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Json parseValue()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        const char c = text_[pos_];
-        if (c == '{' || c == '[') {
-            if (++depth_ > kMaxJsonDepth)
-                fail("nesting too deep");
-            Json v = c == '{' ? parseObject() : parseArray();
-            --depth_;
-            return v;
-        }
-        if (c == '"')
-            return Json::makeString(parseString());
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return Json::makeBool(true);
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return Json::makeBool(false);
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return Json();
-        }
-        return parseNumber();
-    }
-
-    void expectEnd()
-    {
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters");
-    }
-
-  private:
-    [[noreturn]] void fail(const char *what)
-    {
-        throw ParseError{what, pos_};
-    }
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    void expect(char c)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            fail("unexpected character");
-        ++pos_;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("bad escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  case 'u': {
-                    // escape() writes control bytes as \u00XX; the
-                    // ASCII range decodes to that one byte.
-                    const std::string hex = text_.substr(pos_, 4);
-                    if (hex.size() != 4 ||
-                        hex.find_first_not_of("0123456789abcdefABCDEF") !=
-                            std::string::npos)
-                        fail("bad escape");
-                    const unsigned long cp = std::stoul(hex, nullptr, 16);
-                    if (cp >= 0x80)
-                        fail("unsupported escape");
-                    pos_ += 4;
-                    c = static_cast<char>(cp);
-                    break;
-                  }
-                  default: fail("unsupported escape");
-                }
-            }
-            out += c;
-        }
-        if (pos_ >= text_.size())
-            fail("unterminated string");
-        ++pos_; // closing quote
-        return out;
-    }
-
-    Json parseNumber()
-    {
-        // Accept the nan/inf extension (see file comment of the header).
-        if (text_.compare(pos_, 3, "nan") == 0) {
-            pos_ += 3;
-            return Json::makeNumber(std::nan(""));
-        }
-        if (text_.compare(pos_, 3, "inf") == 0) {
-            pos_ += 3;
-            return Json::makeNumber(HUGE_VAL);
-        }
-        if (text_.compare(pos_, 4, "-inf") == 0) {
-            pos_ += 4;
-            return Json::makeNumber(-HUGE_VAL);
-        }
-        char *end = nullptr;
-        const double v = std::strtod(text_.c_str() + pos_, &end);
-        if (end == text_.c_str() + pos_)
-            fail("bad number");
-        pos_ = static_cast<size_t>(end - text_.c_str());
-        return Json::makeNumber(v);
-    }
-
-    Json parseArray()
-    {
-        expect('[');
-        Json arr = Json::makeArray();
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return arr;
-        }
-        for (;;) {
-            arr.push(parseValue());
-            skipWs();
-            if (pos_ >= text_.size())
-                fail("unterminated array");
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (text_[pos_] == ']') {
-                ++pos_;
-                return arr;
-            }
-            fail("expected , or ]");
-        }
-    }
-
-    Json parseObject()
-    {
-        expect('{');
-        Json obj = Json::makeObject();
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return obj;
-        }
-        for (;;) {
-            skipWs();
-            const std::string key = parseString();
-            expect(':');
-            obj.set(key, parseValue());
-            skipWs();
-            if (pos_ >= text_.size())
-                fail("unterminated object");
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (text_[pos_] == '}') {
-                ++pos_;
-                return obj;
-            }
-            fail("expected , or }");
-        }
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    int depth_ = 0;
-};
 
 Json
 sampleToJson(const Sample &s)
@@ -276,184 +28,6 @@ sampleFromJson(const Json &j)
 }
 
 } // namespace
-
-Json
-Json::makeBool(bool v)
-{
-    Json j;
-    j.kind_ = Kind::Bool;
-    j.bool_ = v;
-    return j;
-}
-
-Json
-Json::makeNumber(double v)
-{
-    Json j;
-    j.kind_ = Kind::Number;
-    j.num_ = v;
-    return j;
-}
-
-Json
-Json::makeString(std::string v)
-{
-    Json j;
-    j.kind_ = Kind::String;
-    j.str_ = std::move(v);
-    return j;
-}
-
-Json
-Json::makeArray()
-{
-    Json j;
-    j.kind_ = Kind::Array;
-    return j;
-}
-
-Json
-Json::makeObject()
-{
-    Json j;
-    j.kind_ = Kind::Object;
-    return j;
-}
-
-bool
-Json::asBool() const
-{
-    RFL_ASSERT(kind_ == Kind::Bool);
-    return bool_;
-}
-
-double
-Json::asNumber() const
-{
-    RFL_ASSERT(kind_ == Kind::Number);
-    return num_;
-}
-
-const std::string &
-Json::asString() const
-{
-    RFL_ASSERT(kind_ == Kind::String);
-    return str_;
-}
-
-const std::vector<Json> &
-Json::asArray() const
-{
-    RFL_ASSERT(kind_ == Kind::Array);
-    return arr_;
-}
-
-void
-Json::push(Json v)
-{
-    RFL_ASSERT(kind_ == Kind::Array);
-    arr_.push_back(std::move(v));
-}
-
-void
-Json::set(const std::string &key, Json v)
-{
-    RFL_ASSERT(kind_ == Kind::Object);
-    for (auto &member : obj_) {
-        if (member.first == key) {
-            member.second = std::move(v);
-            return;
-        }
-    }
-    obj_.emplace_back(key, std::move(v));
-}
-
-const Json &
-Json::at(const std::string &key) const
-{
-    RFL_ASSERT(kind_ == Kind::Object);
-    for (const auto &member : obj_)
-        if (member.first == key)
-            return member.second;
-    fatal("json: missing member '%s'", key.c_str());
-}
-
-bool
-Json::has(const std::string &key) const
-{
-    RFL_ASSERT(kind_ == Kind::Object);
-    for (const auto &member : obj_)
-        if (member.first == key)
-            return true;
-    return false;
-}
-
-std::string
-Json::dump() const
-{
-    std::ostringstream out;
-    switch (kind_) {
-      case Kind::Null:
-        out << "null";
-        break;
-      case Kind::Bool:
-        out << (bool_ ? "true" : "false");
-        break;
-      case Kind::Number:
-        out << numberToText(num_);
-        break;
-      case Kind::String:
-        out << '"' << escape(str_) << '"';
-        break;
-      case Kind::Array:
-        out << '[';
-        for (size_t i = 0; i < arr_.size(); ++i) {
-            if (i)
-                out << ',';
-            out << arr_[i].dump();
-        }
-        out << ']';
-        break;
-      case Kind::Object:
-        out << '{';
-        for (size_t i = 0; i < obj_.size(); ++i) {
-            if (i)
-                out << ',';
-            out << '"' << escape(obj_[i].first)
-                << "\":" << obj_[i].second.dump();
-        }
-        out << '}';
-        break;
-    }
-    return out.str();
-}
-
-Json
-Json::parse(const std::string &text)
-{
-    try {
-        Parser p(text);
-        Json v = p.parseValue();
-        p.expectEnd();
-        return v;
-    } catch (const ParseError &e) {
-        fatal("json: %s at offset %zu", e.what, e.pos);
-    }
-}
-
-bool
-Json::tryParse(const std::string &text, Json *out)
-{
-    RFL_ASSERT(out != nullptr);
-    try {
-        Parser p(text);
-        *out = p.parseValue();
-        p.expectEnd();
-        return true;
-    } catch (const ParseError &) {
-        return false;
-    }
-}
 
 std::string
 encodeMeasurement(const roofline::Measurement &m)
@@ -509,22 +83,42 @@ decodeMeasurement(const std::string &payload)
     return m;
 }
 
+Json
+ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings)
+{
+    Json arr = Json::makeArray();
+    for (const roofline::Ceiling &c : ceilings) {
+        Json obj = Json::makeObject();
+        obj.set("name", Json::makeString(c.name));
+        obj.set("value", Json::makeNumber(c.value));
+        arr.push(std::move(obj));
+    }
+    return arr;
+}
+
+roofline::RooflineModel
+modelFromJson(const Json &compute, const Json &bandwidth)
+{
+    const auto value = [](const Json &c) {
+        const double v = c.at("value").asNumber();
+        if (!(v > 0))
+            throw JsonError("ceiling value is not positive");
+        return v;
+    };
+    roofline::RooflineModel model;
+    for (const Json &c : compute.asArray())
+        model.addComputeCeiling(c.at("name").asString(), value(c));
+    for (const Json &c : bandwidth.asArray())
+        model.addBandwidthCeiling(c.at("name").asString(), value(c));
+    return model;
+}
+
 std::string
 encodeModel(const roofline::RooflineModel &model)
 {
-    auto ceilings = [](const std::vector<roofline::Ceiling> &cs) {
-        Json arr = Json::makeArray();
-        for (const roofline::Ceiling &c : cs) {
-            Json obj = Json::makeObject();
-            obj.set("name", Json::makeString(c.name));
-            obj.set("value", Json::makeNumber(c.value));
-            arr.push(std::move(obj));
-        }
-        return arr;
-    };
     Json j = Json::makeObject();
-    j.set("compute", ceilings(model.computeCeilings()));
-    j.set("bandwidth", ceilings(model.bandwidthCeilings()));
+    j.set("compute", ceilingsToJson(model.computeCeilings()));
+    j.set("bandwidth", ceilingsToJson(model.bandwidthCeilings()));
     return j.dump();
 }
 
@@ -532,14 +126,7 @@ roofline::RooflineModel
 decodeModel(const std::string &payload)
 {
     const Json j = Json::parse(payload);
-    roofline::RooflineModel model;
-    for (const Json &c : j.at("compute").asArray())
-        model.addComputeCeiling(c.at("name").asString(),
-                                c.at("value").asNumber());
-    for (const Json &c : j.at("bandwidth").asArray())
-        model.addBandwidthCeiling(c.at("name").asString(),
-                                  c.at("value").asNumber());
-    return model;
+    return modelFromJson(j.at("compute"), j.at("bandwidth"));
 }
 
 namespace

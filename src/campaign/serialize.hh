@@ -2,106 +2,49 @@
  * @file
  * JSON (de)serialization of campaign results for the JSONL spill store.
  *
- * A deliberately small JSON subset — objects, arrays, strings, numbers,
- * booleans, null — enough to persist Measurements and RooflineModels as
- * one-line payloads. Numbers round-trip bit-exactly ("%.17g"); NaN and
- * infinity are emitted as bare nan/inf tokens (accepted back by the
- * parser), since cached measurements may carry NaN analytic traffic.
+ * Each result is stored as a one-line payload in the JSON format of
+ * support/json.hh. Every decoder throws JsonError on a payload of the
+ * wrong shape (a hand-edited spill, another writer), so the executor
+ * can re-simulate instead of dying.
  */
 
 #ifndef RFL_CAMPAIGN_SERIALIZE_HH
 #define RFL_CAMPAIGN_SERIALIZE_HH
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/phase.hh"
 #include "roofline/measurement.hh"
 #include "roofline/model.hh"
+#include "support/json.hh"
 #include "trace/trace_file.hh"
 
 namespace rfl::campaign
 {
 
-/** Minimal JSON value (see file comment). */
-class Json
-{
-  public:
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
+/** perfbench/ names the value type cp::Json. */
+using rfl::Json;
 
-    Json() = default;
+/** Encode ceilings as [{"name":…,"value":…},…], the shape the spill
+ *  and analysis.json share. */
+Json ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings);
 
-    static Json makeBool(bool v);
-    static Json makeNumber(double v);
-    static Json makeString(std::string v);
-    static Json makeArray();
-    static Json makeObject();
-
-    Kind kind() const { return kind_; }
-
-    /** @name Typed accessors; panic on kind mismatch. */
-    ///@{
-    bool asBool() const;
-    double asNumber() const;
-    const std::string &asString() const;
-    const std::vector<Json> &asArray() const;
-    ///@}
-
-    /** Append to an array value. */
-    void push(Json v);
-
-    /** Set an object member. */
-    void set(const std::string &key, Json v);
-
-    /** @return object member; fatal() when absent (corrupt cache line). */
-    const Json &at(const std::string &key) const;
-
-    /** @return true when the object has member @p key. */
-    bool has(const std::string &key) const;
-
-    /** Render compactly (stable member order: insertion order). */
-    std::string dump() const;
-
-    /** Parse one JSON document; fatal() on malformed input. */
-    static Json parse(const std::string &text);
-
-    /**
-     * Non-fatal parse: @return whether @p text parsed, filling @p out.
-     * Used by the cache loader to skip corrupt spill lines (e.g. an
-     * append truncated by a crash) instead of refusing to start.
-     */
-    static bool tryParse(const std::string &text, Json *out);
-
-  private:
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    double num_ = 0.0;
-    std::string str_;
-    std::vector<Json> arr_;
-    /** Insertion-ordered members (keys + parallel values). */
-    std::vector<std::pair<std::string, Json>> obj_;
-};
+/** A model from its two ceilingsToJson lists; JsonError on a malformed
+ *  entry or a value that is not positive. */
+roofline::RooflineModel modelFromJson(const Json &compute,
+                                      const Json &bandwidth);
 
 /** Encode a measurement as a one-line JSON object. */
 std::string encodeMeasurement(const roofline::Measurement &m);
 
-/** Decode a measurement; fatal() on malformed payload. */
+/** Decode a measurement; JsonError on a malformed payload. */
 roofline::Measurement decodeMeasurement(const std::string &payload);
 
 /** Encode a roofline model (its named ceilings) as one-line JSON. */
 std::string encodeModel(const roofline::RooflineModel &model);
 
-/** Decode a roofline model; fatal() on malformed payload. */
+/** Decode a roofline model; JsonError on a malformed payload. */
 roofline::RooflineModel decodeModel(const std::string &payload);
 
 /** Outcome of a trace-record job (persisted in the result cache). */
@@ -118,13 +61,13 @@ struct TraceInfo
  */
 std::string encodeTraceInfo(const TraceInfo &info);
 
-/** Decode a trace recording's outcome; fatal() on malformed payload. */
+/** Decode a trace recording's outcome; JsonError on a malformed payload. */
 TraceInfo decodeTraceInfo(const std::string &payload);
 
 /** Encode a phase-sample trajectory as one-line JSON. */
 std::string encodePhaseTrajectory(const analysis::PhaseTrajectory &t);
 
-/** Decode a phase-sample trajectory; fatal() on malformed payload. */
+/** Decode a phase-sample trajectory; JsonError on a malformed payload. */
 analysis::PhaseTrajectory
 decodePhaseTrajectory(const std::string &payload);
 

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "service/net_util.hh"
+#include "support/escape.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
 
@@ -442,7 +443,7 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
             resp = HttpResponse{};
             resp.status = 500;
             resp.body = "{\"error\":\"internal: " +
-                        net::jsonEscape(e.what()) + "\"}";
+                        escapeJson(e.what()) + "\"}";
         }
 
         const bool clientClose =

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <string>
 
 #include <sys/socket.h>
@@ -62,32 +61,6 @@ sendAll(int fd, const char *data, size_t len)
         sent += static_cast<size_t>(n);
     }
     return true;
-}
-
-/** Escape a string for embedding in a JSON double-quoted value. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace rfl::service::net

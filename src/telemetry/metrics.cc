@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/escape.hh"
 #include "support/logging.hh"
 
 namespace rfl::telemetry
@@ -14,7 +15,7 @@ namespace rfl::telemetry
 namespace
 {
 
-/** %.17g like the campaign JSON encoder: shortest round-trippable. */
+/** %.17g like Json::dump (support/json): shortest round-trippable. */
 std::string
 formatNumber(double v)
 {
@@ -23,31 +24,6 @@ formatNumber(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Prometheus label-value escaping: backslash, quote, newline. */

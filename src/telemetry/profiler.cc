@@ -17,6 +17,7 @@
 #include <sys/time.h>
 #endif
 
+#include "support/escape.hh"
 #include "support/logging.hh"
 
 namespace rfl::telemetry
@@ -24,48 +25,6 @@ namespace rfl::telemetry
 
 namespace
 {
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-escapeXml(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '&': out += "&amp;"; break;
-          case '<': out += "&lt;"; break;
-          case '>': out += "&gt;"; break;
-          case '"': out += "&quot;"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 #if RFL_PROFILER_ENABLED
 

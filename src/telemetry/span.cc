@@ -1,9 +1,9 @@
 #include "telemetry/span.hh"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "support/escape.hh"
 #include "telemetry/metrics.hh"
 
 namespace rfl::telemetry
@@ -16,31 +16,6 @@ thread_local TraceScope *tl_scope = nullptr;
 
 /** Scope buffers flush once they hold this many finished spans. */
 constexpr size_t kFlushThreshold = 1024;
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** One chrome trace "complete" (ph=X) event object. */
 void

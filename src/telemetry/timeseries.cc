@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/escape.hh"
 #include "support/logging.hh"
 
 namespace rfl::telemetry
@@ -22,49 +23,6 @@ jsonNumber(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** XML/HTML content + attribute escaping (same rules as analysis/svg). */
-std::string
-escapeXml(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '&': out += "&amp;"; break;
-          case '<': out += "&lt;"; break;
-          case '>': out += "&gt;"; break;
-          case '"': out += "&quot;"; break;
-          default: out += c;
-        }
-    }
-    return out;
 }
 
 /** {a="x",b="y"} (empty for no labels) — same shape as the registry. */

@@ -179,6 +179,24 @@ TEST(AnalysisJson, DecodesV3DocumentsWithSimDefaults)
     }
 }
 
+TEST(AnalysisJson, MalformedMembersExitWithAMessage)
+{
+    // A wrong-kind or missing member is a user error (bad file), not a
+    // crash: exit 1 with an analysis.json message, never abort.
+    std::string mistyped = encodeAnalysis(sampleDoc());
+    const size_t at = mistyped.find("\"campaign\":\"sample\"");
+    ASSERT_NE(at, std::string::npos);
+    std::string missing = mistyped;
+    mistyped.replace(at, std::string("\"campaign\":\"sample\"").size(),
+                     "\"campaign\":5");
+    missing.erase(at, std::string("\"campaign\":\"sample\",").size());
+
+    EXPECT_EXIT(decodeAnalysis(mistyped), ::testing::ExitedWithCode(1),
+                "analysis.json: expected string, got number");
+    EXPECT_EXIT(decodeAnalysis(missing), ::testing::ExitedWithCode(1),
+                "analysis.json: missing member 'campaign'");
+}
+
 TEST(AnalysisJson, DiffAfterRoundTripIsClean)
 {
     const CampaignAnalysis doc = sampleDoc();

@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -15,6 +16,7 @@
 #include "campaign/sink.hh"
 #include "roofline/platform.hh"
 #include "support/cancel.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -192,6 +194,65 @@ TEST(CampaignExecutor, ChangingTheSpecOnlyComputesTheDelta)
     const CampaignRun run = CampaignExecutor(opts).run(extended);
     EXPECT_EQ(run.simulated, 2u);
     EXPECT_EQ(run.cacheHits, run.jobs.size() - 2u);
+    std::remove(path.c_str());
+}
+
+TEST(CampaignExecutor, MisShapedCachedPayloadIsResimulated)
+{
+    // A spill line that parses but whose payload has the wrong shape
+    // (here a ceiling whose lists are a number and a string) must cost
+    // one re-simulation, not the process.
+    const CampaignSpec spec = smallCampaign();
+    const std::string path =
+        ::testing::TempDir() + "rfl_exec_misshaped.jsonl";
+    std::remove(path.c_str());
+
+    std::string ceilingKey;
+    {
+        ResultCache cache(path);
+        ExecutorOptions opts;
+        opts.cache = &cache;
+        const CampaignRun run = CampaignExecutor(opts).run(spec);
+        for (const Job &job : run.jobs)
+            if (job.kind == JobKind::Ceiling && ceilingKey.empty())
+                ceilingKey = job.cacheKey;
+    }
+    ASSERT_FALSE(ceilingKey.empty());
+    {
+        // Later lines win: this entry shadows the good one.
+        rfl::Json entry = rfl::Json::makeObject();
+        entry.set("key", rfl::Json::makeString(ceilingKey));
+        entry.set("payload",
+                  rfl::Json::parse("{\"compute\":5,\"bandwidth\":\"x\"}"));
+        std::ofstream out(path, std::ios::app);
+        out << entry.dump() << "\n";
+    }
+
+    ResultCache cache(path);
+    ExecutorOptions opts;
+    opts.threads = 2;
+    opts.cache = &cache;
+    const CampaignRun run = CampaignExecutor(opts).run(spec);
+    EXPECT_EQ(run.simulated, 1u);
+    EXPECT_EQ(run.cacheHits, run.jobs.size() - 1u);
+
+    // The re-simulated ceiling overwrote the bad entry...
+    std::string payload;
+    ASSERT_TRUE(cache.lookup(ceilingKey, &payload));
+    EXPECT_NO_THROW(decodeModel(payload));
+
+    // ...and the results match a cache-less run byte for byte.
+    const CampaignRun fresh = CampaignExecutor(ExecutorOptions{}).run(spec);
+    const std::string dirA = ::testing::TempDir() + "rfl_exec_misshaped";
+    const std::string dirB = ::testing::TempDir() + "rfl_exec_clean";
+    EXPECT_EQ(readFile(writeCampaignCsv(run, dirA, "out")),
+              readFile(writeCampaignCsv(fresh, dirB, "out")));
+    for (const Job &job : run.jobs) {
+        if (job.kind == JobKind::Ceiling) {
+            EXPECT_EQ(encodeModel(run.results[job.id].model),
+                      encodeModel(fresh.results[job.id].model));
+        }
+    }
     std::remove(path.c_str());
 }
 
