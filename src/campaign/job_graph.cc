@@ -80,8 +80,8 @@ measureCacheKey(const sim::MachineConfig &config,
     // A trace-replay kernel's spec names a file, not a workload: the
     // measurement is determined by the file's *content*, so fold its
     // stable stream hash into the key — regenerating the file must not
-    // hit the stale entry. (An unreadable file is left to createKernel
-    // to report; the key just stays content-free.)
+    // hit the stale entry. (An unreadable file is left to
+    // parseKernelSpec to report; the key just stays content-free.)
     if (kernelSpec.rfind("trace:file=", 0) == 0) {
         trace::TraceReader reader;
         if (reader.open(kernelSpec.substr(11)))

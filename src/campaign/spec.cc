@@ -255,17 +255,20 @@ CampaignSpec::validate() const
                       name_.c_str(), variants_[i].label.c_str());
 
     // Kernel specs must parse (catches typos before hours of compute),
-    // and multi-core variants need parallelizable kernels.
-    for (const std::string &spec : kernels_) {
-        const std::unique_ptr<kernels::Kernel> kernel =
-            kernels::createKernel(spec);
+    // and multi-core variants need parallelizable kernels. Both are
+    // answered by the kernel catalogue; validation builds no kernel.
+    const auto checkKernel = [&](const std::string &spec,
+                                 const char *what) {
+        if (kernels::parseKernelSpec(spec).parallelizable())
+            return;
         for (const Variant &v : variants_)
-            if (v.opts.measure.cores.size() > 1 &&
-                !kernel->parallelizable())
-                fatal("campaign '%s': kernel '%s' does not support "
+            if (v.opts.measure.cores.size() > 1)
+                fatal("campaign '%s': %s '%s' does not support "
                       "multi-core execution (variant '%s')",
-                      name_.c_str(), spec.c_str(), v.label.c_str());
-    }
+                      name_.c_str(), what, spec.c_str(), v.label.c_str());
+    };
+    for (const std::string &spec : kernels_)
+        checkKernel(spec, "kernel");
 
     // Traced kernels must also parse. Replay itself is single-stream
     // (the executor replays on the first core of a variant's set), so
@@ -276,7 +279,7 @@ CampaignSpec::validate() const
             fatal("campaign '%s': cannot record a trace of a trace "
                   "replay ('%s')",
                   name_.c_str(), spec.c_str());
-        kernels::createKernel(spec);
+        kernels::parseKernelSpec(spec);
     }
 
     // Phase-sampled kernels run like measured kernels (partitioned
@@ -286,14 +289,7 @@ CampaignSpec::validate() const
             fatal("campaign '%s': cannot phase-sample a trace replay "
                   "('%s')",
                   name_.c_str(), p.spec.c_str());
-        const std::unique_ptr<kernels::Kernel> kernel =
-            kernels::createKernel(p.spec);
-        for (const Variant &v : variants_)
-            if (v.opts.measure.cores.size() > 1 &&
-                !kernel->parallelizable())
-                fatal("campaign '%s': phase kernel '%s' does not "
-                      "support multi-core execution (variant '%s')",
-                      name_.c_str(), p.spec.c_str(), v.label.c_str());
+        checkKernel(p.spec, "phase kernel");
     }
 
     for (const Variant &v : variants_) {

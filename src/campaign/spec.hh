@@ -160,7 +160,9 @@ class CampaignSpec
     /**
      * Check the spec is runnable: at least one machine, kernel and
      * variant; distinct labels; every variant's core set valid on every
-     * machine. fatal() on violation (user error).
+     * machine; every kernel spec accepted by the kernel catalogue
+     * (kernels/registry.hh), which builds no kernel. fatal() on
+     * violation (user error).
      */
     void validate() const;
 

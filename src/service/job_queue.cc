@@ -153,8 +153,10 @@ JobQueue::submit(const std::string &specText,
         return outcome;
     }
 
-    // Parse + validate outside the lock: validation instantiates
-    // kernels and must not serialize concurrent submitters.
+    // Parse + validate outside the lock so concurrent submitters do
+    // not serialize. Validation only reads the kernel catalogue (no
+    // kernel is built), so a bad kernel spec is rejected here, before
+    // anything is queued or allocated.
     campaign::CampaignSpec spec;
     try {
         spec = campaign::parseCampaignSpec(specText);

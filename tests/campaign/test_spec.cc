@@ -269,6 +269,32 @@ TEST(CampaignSpecDeath, InvalidSpecs)
     EXPECT_EXIT(parseCampaignSpec("variant = v: drain_threads=2\n"),
                 ::testing::ExitedWithCode(1),
                 "unknown variant option 'drain_threads'");
+
+    // Kernel specs the catalogue rejects: each exits 1 naming the
+    // kernel and the key, instead of aborting or running a guess.
+    const struct
+    {
+        const char *kernel;
+        const char *message;
+    } badKernels[] = {
+        {"daxpy:n=abc", "kernel 'daxpy': key 'n'"},
+        {"daxpy:n=99999999999999999999", "kernel 'daxpy': key 'n'"},
+        {"daxpy:n=3000000000", "kernel 'daxpy': 'n=3000000000'.*cap"},
+        {"daxpy:n=0", "kernel 'daxpy': key 'n' must be >= 1"},
+        {"dgemv:m=0", "kernel 'dgemv': key 'm' must be >= 1"},
+        {"daxpy:n=-5", "kernel 'daxpy': key 'n'"},
+        {"daxpy:nn=4096", "kernel 'daxpy': unknown key 'nn'"},
+        {"daxpy:n=4096,n=8192", "kernel 'daxpy': repeated key 'n'"},
+        {"fft:n=1000", "kernel 'fft': key 'n' must be a power of two"},
+    };
+    for (const auto &bad : badKernels) {
+        const std::string text = std::string("machine = small\n") +
+                                 "kernel = " + bad.kernel + "\n" +
+                                 "variant = v: cores=0\n";
+        EXPECT_EXIT(parseCampaignSpec(text), ::testing::ExitedWithCode(1),
+                    bad.message)
+            << bad.kernel;
+    }
 }
 
 } // namespace

@@ -221,22 +221,34 @@ TEST(FftDeath, NonPowerOfTwoIsFatal)
 
 TEST(Registry, CreatesEveryAdvertisedKernel)
 {
-    for (const std::string &name : kernelNames()) {
-        const std::unique_ptr<Kernel> k = createKernel(name);
-        ASSERT_NE(k, nullptr) << name;
-        EXPECT_EQ(k->name(), name);
-        EXPECT_GT(k->workingSetBytes(), 0u);
+    // Validation answers from the catalogue without building kernels,
+    // so each descriptor's name, flag and footprint must agree with
+    // the class it builds: at the defaults and at one other size that
+    // sets every key (doubled, or 3 where the default is 0).
+    for (const KernelDescriptor &d : kernelCatalogue()) {
+        std::string resized = d.name;
+        char sep = ':';
+        for (const KernelKey &key : d.keys) {
+            if (key.name == nullptr)
+                break;
+            const uint64_t v =
+                key.defaultValue == 0 ? 3 : 2 * key.defaultValue;
+            resized += sep + std::string(key.name) + "=" +
+                       std::to_string(v);
+            sep = ',';
+        }
+        for (const std::string &text : {std::string(d.name), resized}) {
+            const KernelSpec spec = parseKernelSpec(text);
+            ASSERT_EQ(spec.kernel, &d) << text;
+            const std::unique_ptr<Kernel> k = createKernel(text);
+            ASSERT_NE(k, nullptr) << text;
+            EXPECT_EQ(k->name(), d.name) << text;
+            EXPECT_EQ(k->parallelizable(), d.parallelizable) << text;
+            EXPECT_EQ(k->workingSetBytes(), spec.footprintBytes())
+                << text;
+            EXPECT_GT(spec.footprintBytes(), 0u) << text;
+        }
     }
-    // Every synthetic kernel has a help line. Help may list additional
-    // file-parameterized workloads (trace replay) that are not
-    // default-constructible and hence not in kernelNames().
-    for (const std::string &name : kernelNames()) {
-        bool found = false;
-        for (const std::string &line : kernelHelp())
-            found = found || line.rfind(name, 0) == 0;
-        EXPECT_TRUE(found) << "no help line for kernel '" << name << "'";
-    }
-    EXPECT_GE(kernelHelp().size(), kernelNames().size());
 }
 
 TEST(RegistryDeath, UnknownKernelIsFatal)
@@ -245,6 +257,14 @@ TEST(RegistryDeath, UnknownKernelIsFatal)
                 "unknown kernel");
     EXPECT_EXIT(createKernel("daxpy:n"), ::testing::ExitedWithCode(1),
                 "bad parameter");
+    EXPECT_EXIT(createKernel("daxpy:nn=4096"),
+                ::testing::ExitedWithCode(1),
+                "kernel 'daxpy': unknown key 'nn'");
+    EXPECT_EXIT(createKernel("daxpy:n=-5"), ::testing::ExitedWithCode(1),
+                "kernel 'daxpy': key 'n'");
+    EXPECT_EXIT(createKernel("daxpy:n=4096,n=8192"),
+                ::testing::ExitedWithCode(1),
+                "kernel 'daxpy': repeated key 'n'");
 }
 
 TEST(Partition, CoversRangeExactlyOnce)

@@ -200,6 +200,47 @@ TEST_F(HttpServiceTest, DeeplyNestedJsonBodyAnswers400AndServerSurvives)
     EXPECT_EQ(resp.status, 200);
 }
 
+TEST_F(HttpServiceTest, HostileKernelSpecsAnswer400AndServerSurvives)
+{
+    // Each of these once aborted, crashed or silently misran the
+    // daemon, or made it allocate gigabytes on the request thread. The
+    // kernel catalogue now rejects them at submit, naming the kernel
+    // and the key, without building anything.
+    const struct
+    {
+        const char *kernel;
+        const char *message;
+    } cases[] = {
+        {"daxpy:n=0", "kernel 'daxpy': key 'n' must be >= 1"},
+        {"daxpy:n=-5", "kernel 'daxpy': key 'n'"},
+        {"dgemv:m=0", "kernel 'dgemv': key 'm' must be >= 1"},
+        {"daxpy:n=abc", "kernel 'daxpy': key 'n'"},
+        {"daxpy:n=99999999999999999999", "kernel 'daxpy': key 'n'"},
+        {"daxpy:n=100000000", "kernel 'daxpy': 'n=100000000' needs"},
+        {"daxpy:nn=4096", "kernel 'daxpy': unknown key 'nn'"},
+        {"daxpy:n=4096,n=8192", "kernel 'daxpy': repeated key 'n'"},
+        {"fft:n=1000", "kernel 'fft': key 'n' must be a power of two"},
+    };
+    HttpClient client("127.0.0.1", server_->port());
+    ClientResponse resp;
+    for (const auto &c : cases) {
+        const std::string spec = std::string("machine = small\n") +
+                                 "kernel = " + c.kernel + "\n" +
+                                 "variant = v: protocol=cold cores=0\n";
+        ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, spec))
+            << c.kernel;
+        EXPECT_EQ(resp.status, 400) << c.kernel << ": " << resp.body;
+        EXPECT_NE(jsonField(resp.body, "error").find(c.message),
+                  std::string::npos)
+            << c.kernel << ": " << resp.body;
+    }
+
+    HttpClient probe("127.0.0.1", server_->port());
+    ASSERT_TRUE(probe.request("GET", "/healthz", &resp));
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_NE(resp.body.find("\"status\":\"ok\""), std::string::npos);
+}
+
 TEST_F(HttpServiceTest, ArtifactEndpointsByteMatchOfflineCli)
 {
     HttpClient client("127.0.0.1", server_->port());

@@ -9,8 +9,9 @@
 #   time-series sampler advanced across submit->done (/seriesz +
 #   /dashz) -> exercise /profilez (200 + schema-valid profile when the
 #   profiler is compiled in, clean 501 when not; set
-#   RFL_EXPECT_PROFILER=0/1 to pin the expectation) -> SIGTERM and
-#   assert a clean (exit 0) shutdown.
+#   RFL_EXPECT_PROFILER=0/1 to pin the expectation) -> post hostile
+#   kernel specs (400 each, daemon stays up) -> SIGTERM and assert a
+#   clean (exit 0) shutdown.
 # Run by CI in both the Release and ASan/UBSan jobs:
 #   tools/service_smoke.sh <build-dir>
 set -euo pipefail
@@ -241,6 +242,31 @@ else
     grep -q 'RFL_PROFILER' "$WORK/profile.json"
     echo "profilez OK: clean 501 without RFL_PROFILER"
 fi
+
+# Hostile kernel specs: each must be a 400 whose error names the
+# kernel and the key, answered at submit without building the kernel,
+# and the daemon must stay up. (Each once aborted or crashed it, ran a
+# silent guess, or allocated gigabytes on the request thread.)
+while read -r KERNEL EXPECT; do
+    CODE=$(printf 'machine = small\nkernel = %s\nvariant = v: cores=0\n' \
+        "$KERNEL" | curl -sS -o "$WORK/hostile.json" -w '%{http_code}' \
+        -X POST --data-binary @- "$BASE/v1/campaigns")
+    [ "$CODE" = 400 ] && grep -qF "$EXPECT" "$WORK/hostile.json" || {
+        echo "FAIL: '$KERNEL' answered $CODE, expected 400 '$EXPECT'";
+        cat "$WORK/hostile.json"; exit 1; }
+done <<'SPECS'
+daxpy:n=0 kernel 'daxpy': key 'n'
+daxpy:n=-5 kernel 'daxpy': key 'n'
+dgemv:m=0 kernel 'dgemv': key 'm'
+daxpy:n=abc kernel 'daxpy': key 'n'
+daxpy:n=99999999999999999999 kernel 'daxpy': key 'n'
+daxpy:n=100000000 kernel 'daxpy': 'n=100000000' needs
+daxpy:nn=4096 kernel 'daxpy': unknown key 'nn'
+daxpy:n=4096,n=8192 kernel 'daxpy': repeated key 'n'
+fft:n=1000 kernel 'fft': key 'n'
+SPECS
+curl -fsS "$BASE/healthz" | grep -q '"status":"ok"'
+echo "hostile kernel specs OK: 400 each, daemon up"
 
 # Graceful shutdown: SIGTERM must end the process with exit code 0.
 kill -TERM "$SERVE_PID"
