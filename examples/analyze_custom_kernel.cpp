@@ -9,6 +9,11 @@
  *     out[i] = sqrt(re[i]^2 + im[i]^2) * inv_norm
  * — implements the Kernel interface including its analytic W/Q models,
  * and runs the full methodology on it.
+ *
+ * The kernel body is one member template `runT` over the engine;
+ * deriving from kernels::KernelOf turns it into the native and the
+ * simulated run(), so the same source gives T on the host and Q on the
+ * simulated machine.
  */
 
 #include <cstdio>
@@ -25,7 +30,7 @@ namespace
 using namespace rfl;
 
 /** out[i] = |z[i]| * inv_norm for interleaved complex input. */
-class ComplexMagnitude : public kernels::Kernel
+class ComplexMagnitude : public kernels::KernelOf<ComplexMagnitude>
 {
   public:
     explicit ComplexMagnitude(size_t n) : n_(n), z_(2 * n), out_(n) {}
@@ -61,18 +66,6 @@ class ComplexMagnitude : public kernels::Kernel
             z_[i] = rng.nextDouble(-2.0, 2.0);
     }
 
-    void
-    run(kernels::NativeEngine &e, int part, int nparts) override
-    {
-        runT(e, part, nparts);
-    }
-
-    void
-    run(kernels::SimEngine &e, int part, int nparts) override
-    {
-        runT(e, part, nparts);
-    }
-
     double
     checksum() const override
     {
@@ -83,6 +76,8 @@ class ComplexMagnitude : public kernels::Kernel
     }
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

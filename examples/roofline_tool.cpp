@@ -13,8 +13,11 @@
  *   roofline_tool --no-prefetch --kernel stencil3:n=1048576
  */
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <iostream>
+#include <thread>
 
 #include "kernels/registry.hh"
 #include "roofline/experiment.hh"
@@ -53,18 +56,35 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (cli.has("native")) {
+    // Check every flag before anything runs: a bad value is a user
+    // error, and --native starts --cores OS threads per repetition.
+    const long lanes = cli.getInt("lanes", 0);
+    if (lanes != 0 && lanes != 1 && lanes != 2 && lanes != 4 && lanes != 8)
+        fatal("--lanes must be 0 (machine max), 1, 2, 4 or 8 (got %ld)",
+              lanes);
+    const bool native = cli.has("native");
+    const long reps = cli.getInt("reps", native ? 5 : 2);
+    if (reps < 1 || reps > INT_MAX)
+        fatal("--reps must be a positive integer (got %ld)", reps);
+    const std::string protocol = cli.get("protocol", "cold");
+    if (protocol != "cold" && protocol != "warm")
+        fatal("--protocol must be 'cold' or 'warm'");
+    const long n_cores = cli.getInt("cores", 1);
+
+    if (native) {
+        const long host_threads =
+            std::max(1u, std::thread::hardware_concurrency());
+        if (n_cores < 1 || n_cores > host_threads)
+            fatal("--cores must be in [1, %ld] with --native", host_threads);
         NativeMeasurer nm;
         const std::unique_ptr<kernels::Kernel> kernel =
             kernels::createKernel(cli.get("kernel", "daxpy:n=1048576"));
         NativeMeasureOptions nopts;
-        nopts.threads = static_cast<int>(cli.getInt("cores", 1));
-        nopts.lanes = static_cast<int>(cli.getInt("lanes", 4));
-        if (nopts.lanes == 0)
-            nopts.lanes = 4;
+        nopts.threads = static_cast<int>(n_cores);
+        nopts.lanes = lanes == 0 ? 4 : static_cast<int>(lanes);
         nopts.useFma = !cli.has("no-fma");
-        nopts.repetitions = static_cast<int>(cli.getInt("reps", 5));
-        if (cli.get("protocol", "cold") == "warm")
+        nopts.repetitions = static_cast<int>(reps);
+        if (protocol == "warm")
             nopts.protocol = CacheProtocol::Warm;
         const NativeMeasurement r = nm.measure(*kernel, nopts);
         std::printf("native host run (perf counters %s)\n",
@@ -93,7 +113,6 @@ main(int argc, char **argv)
     sim::Machine &machine = exp.machine();
     machine.setPrefetchEnabled(!cli.has("no-prefetch"));
 
-    const long n_cores = cli.getInt("cores", 1);
     if (n_cores < 1 || n_cores > machine.numCores())
         fatal("--cores must be in [1, %d]", machine.numCores());
 
@@ -101,14 +120,11 @@ main(int argc, char **argv)
     opts.cores.clear();
     for (int c = 0; c < n_cores; ++c)
         opts.cores.push_back(c);
-    const std::string protocol = cli.get("protocol", "cold");
     if (protocol == "warm")
         opts.protocol = CacheProtocol::Warm;
-    else if (protocol != "cold")
-        fatal("--protocol must be 'cold' or 'warm'");
-    opts.lanes = static_cast<int>(cli.getInt("lanes", 0));
+    opts.lanes = static_cast<int>(lanes);
     opts.useFma = !cli.has("no-fma");
-    opts.repetitions = static_cast<int>(cli.getInt("reps", 2));
+    opts.repetitions = static_cast<int>(reps);
     opts.seed = static_cast<uint64_t>(cli.getInt("seed", 42));
 
     const std::string spec = cli.get("kernel", "daxpy:n=1048576");

@@ -27,18 +27,6 @@ Daxpy::init(uint64_t seed)
     }
 }
 
-void
-Daxpy::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Daxpy::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 Daxpy::checksum() const
 {

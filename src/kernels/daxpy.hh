@@ -19,7 +19,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Daxpy : public Kernel
+class Daxpy : public KernelOf<Daxpy>
 {
   public:
     /** @param n vector length in doubles. */
@@ -37,13 +37,11 @@ class Daxpy : public Kernel
         return 24.0 * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
-    size_t n() const { return n_; }
-
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

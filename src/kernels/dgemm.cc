@@ -49,19 +49,7 @@ DgemmNaive::expectedColdTrafficBytes() const
     return std::numeric_limits<double>::quiet_NaN();
 }
 
-void
-DgemmNaive::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-DgemmNaive::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-DgemmBlocked::DgemmBlocked(size_t n, size_t block) : DgemmBase(n)
+DgemmBlocked::DgemmBlocked(size_t n, size_t block) : KernelOf(n)
 {
     if (block == 0) {
         // Three b x b double tiles should fit in a 32 KiB L1.
@@ -84,18 +72,6 @@ DgemmBlocked::expectedColdTrafficBytes() const
     return 16.0 * n * n * n / b + compulsory;
 }
 
-void
-DgemmBlocked::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-DgemmBlocked::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 DgemmRegBlocked::expectedColdTrafficBytes() const
 {
@@ -105,18 +81,6 @@ DgemmRegBlocked::expectedColdTrafficBytes() const
     // A and B are re-streamed once per column tile when the working set
     // exceeds the LLC; no tight closed form — leave it to measurement.
     return std::numeric_limits<double>::quiet_NaN();
-}
-
-void
-DgemmRegBlocked::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-DgemmRegBlocked::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 } // namespace rfl::kernels

@@ -44,8 +44,6 @@ class DgemmBase : public Kernel
     void init(uint64_t seed) override;
     double checksum() const override;
 
-    size_t n() const { return n_; }
-
   protected:
     /** @return true when all three matrices fit the hinted LLC. */
     bool fitsLlc() const { return workingSetBytes() <= llcHintBytes(); }
@@ -57,17 +55,17 @@ class DgemmBase : public Kernel
 };
 
 /** Textbook triple loop (see file comment). */
-class DgemmNaive : public DgemmBase
+class DgemmNaive : public KernelOf<DgemmNaive, DgemmBase>
 {
   public:
-    explicit DgemmNaive(size_t n) : DgemmBase(n) {}
+    explicit DgemmNaive(size_t n) : KernelOf(n) {}
 
     std::string name() const override { return "dgemm-naive"; }
     double expectedColdTrafficBytes() const override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)
@@ -92,7 +90,7 @@ class DgemmNaive : public DgemmBase
 };
 
 /** Tiled i-k-j with vectorized row updates (see file comment). */
-class DgemmBlocked : public DgemmBase
+class DgemmBlocked : public KernelOf<DgemmBlocked, DgemmBase>
 {
   public:
     /**
@@ -103,12 +101,10 @@ class DgemmBlocked : public DgemmBase
 
     std::string name() const override { return "dgemm-blocked"; }
     double expectedColdTrafficBytes() const override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
-
-    size_t blockSize() const { return block_; }
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)
@@ -174,7 +170,7 @@ class DgemmBlocked : public DgemmBase
  * naive -> blocked -> register-blocked reproduces the paper's picture of
  * an implementation climbing toward peak at fixed intensity.
  */
-class DgemmRegBlocked : public DgemmBase
+class DgemmRegBlocked : public KernelOf<DgemmRegBlocked, DgemmBase>
 {
   public:
     /** Accumulator tile width in vectors of the engine's lane count. */
@@ -185,14 +181,14 @@ class DgemmRegBlocked : public DgemmBase
      */
     static constexpr size_t kBlock = 64;
 
-    explicit DgemmRegBlocked(size_t n) : DgemmBase(n) {}
+    explicit DgemmRegBlocked(size_t n) : KernelOf(n) {}
 
     std::string name() const override { return "dgemm-opt"; }
     double expectedColdTrafficBytes() const override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

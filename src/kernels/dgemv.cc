@@ -28,18 +28,6 @@ Dgemv::init(uint64_t seed)
         y_[i] = rng.nextDouble(-1.0, 1.0);
 }
 
-void
-Dgemv::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Dgemv::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 Dgemv::checksum() const
 {

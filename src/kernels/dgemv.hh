@@ -19,7 +19,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Dgemv : public Kernel
+class Dgemv : public KernelOf<Dgemv>
 {
   public:
     /** @param m rows, @param n columns of A. */
@@ -42,11 +42,11 @@ class Dgemv : public Kernel
                16.0 * static_cast<double>(m_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

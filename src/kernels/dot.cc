@@ -27,16 +27,4 @@ Dot::init(uint64_t seed)
     }
 }
 
-void
-Dot::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Dot::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 } // namespace rfl::kernels

@@ -18,7 +18,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Dot : public Kernel
+class Dot : public KernelOf<Dot>
 {
   public:
     explicit Dot(size_t n);
@@ -38,14 +38,12 @@ class Dot : public Kernel
         return 16.0 * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
+    /** @return the accumulated dot product over all run partitions. */
     double checksum() const override { return result_; }
 
-    /** @return the accumulated dot product over all run partitions. */
-    double result() const { return result_; }
-
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

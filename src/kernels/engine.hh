@@ -3,7 +3,9 @@
  * Execution engines: the instrumentation seam between kernels and
  * machines.
  *
- * Every kernel is written once as a template over an engine E and runs:
+ * Every kernel is written once, as the member template `runT` over an
+ * engine E of a class derived from KernelOf (kernels/kernel.hh), which
+ * instantiates it for both engines:
  *   - on the host CPU via NativeEngine (real arithmetic, software op
  *     counts, wall-clock timing outside the engine), and
  *   - on the simulated machine via SimEngine (same arithmetic, plus every
@@ -99,7 +101,6 @@ class NativeEngine
     bool fmaEnabled() const { return fma_; }
 
     const NativeCounters &counters() const { return counters_; }
-    void clearCounters() { counters_ = NativeCounters{}; }
 
     // --- scalar ---
     double
@@ -365,9 +366,7 @@ class SimEngine : public sim::Machine::BatchSource
 
     int lanes() const { return lanes_; }
     bool fmaEnabled() const { return fma_; }
-    int core() const { return core_; }
     sim::Machine &machine() { return machine_; }
-    Dispatch dispatch() const { return dispatch_; }
 
     /**
      * Simulate (and, when recording, serialize) every buffered record.

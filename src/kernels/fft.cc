@@ -68,20 +68,6 @@ Fft::init(uint64_t seed)
         data_[i] = rng.nextDouble(-1.0, 1.0);
 }
 
-void
-Fft::run(NativeEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
-}
-
-void
-Fft::run(SimEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
-}
-
 double
 Fft::checksum() const
 {

@@ -28,7 +28,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Fft : public Kernel
+class Fft : public KernelOf<Fft>
 {
   public:
     /** @param n number of complex points; must be a power of two >= 4. */
@@ -43,18 +43,16 @@ class Fft : public Kernel
     }
     double expectedColdTrafficBytes() const override;
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     /** The FFT dependency structure is not partitioned in this model. */
     bool parallelizable() const override { return false; }
     double checksum() const override;
 
-    size_t n() const { return n_; }
-
   private:
+    friend KernelOf;
+
     template <typename E>
     void
-    runT(E &e)
+    runT(E &e, int /*part*/, int /*nparts*/)
     {
         double *d = data_.data();
         const double *tw = twiddle_.data();

@@ -6,13 +6,23 @@
  * Every kernel:
  *   - owns its operands (cache-line aligned),
  *   - initializes them deterministically from a seed,
- *   - runs on either engine (same template body; see engine.hh),
+ *   - runs on either engine from one template body (see engine.hh),
  *   - can be partitioned across simulated cores (part / nparts),
  *   - provides the analytic expected work W and expected cold-cache DRAM
  *     traffic Q used by the counter-validation experiments (paper's
  *     validation tables), and
  *   - exposes a checksum so tests can prove the native and simulated
  *     executions computed identical results.
+ *
+ * A kernel is written by deriving from KernelOf<K> (below) and giving
+ * it one private member template
+ *
+ *     template <typename E> void runT(E &e, int part, int nparts);
+ *
+ * plus `friend KernelOf;`. KernelOf supplies both virtual run()
+ * overrides, checks the partition once, and calls runT with the
+ * concrete engine, so each body is instantiated for NativeEngine and
+ * SimEngine and dispatch costs one virtual call per run.
  */
 
 #ifndef RFL_KERNELS_KERNEL_HH
@@ -23,6 +33,7 @@
 #include <utility>
 
 #include "kernels/engine.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 
 namespace rfl::kernels
@@ -82,14 +93,6 @@ class Kernel
     /** Run partition @p part of @p nparts on the simulated engine. */
     virtual void run(SimEngine &e, int part, int nparts) = 0;
 
-    /** Convenience: run the whole kernel single-threaded. */
-    template <typename E>
-    void
-    runAll(E &e)
-    {
-        run(e, 0, 1);
-    }
-
     /** @return whether the kernel supports nparts > 1. */
     virtual bool parallelizable() const { return true; }
 
@@ -110,6 +113,41 @@ class Kernel
   protected:
     /** Default matches the default simulated platform's 10 MiB L3. */
     uint64_t llcHintBytes_ = 10ull * 1024 * 1024;
+};
+
+/**
+ * Base of every catalogue kernel K: implements both run() overrides
+ * with K's one private `runT` body (see file comment). @p Base is the
+ * class K extends, Kernel by default; kernels that share state derive
+ * through an intermediate base (e.g. KernelOf<DgemmNaive, DgemmBase>).
+ */
+template <typename K, typename Base = Kernel>
+class KernelOf : public Base
+{
+  public:
+    using Base::Base;
+
+    void
+    run(NativeEngine &e, int part, int nparts) final
+    {
+        body(e, part, nparts);
+    }
+
+    void
+    run(SimEngine &e, int part, int nparts) final
+    {
+        body(e, part, nparts);
+    }
+
+  private:
+    template <typename E>
+    void
+    body(E &e, int part, int nparts)
+    {
+        RFL_ASSERT(part >= 0 && part < nparts &&
+                   (nparts == 1 || this->parallelizable()));
+        static_cast<K *>(this)->runT(e, part, nparts);
+    }
 };
 
 } // namespace rfl::kernels

@@ -38,18 +38,4 @@ PointerChase::init(uint64_t seed)
     lastVisited_ = 0;
 }
 
-void
-PointerChase::run(NativeEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
-}
-
-void
-PointerChase::run(SimEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
-}
-
 } // namespace rfl::kernels

@@ -23,7 +23,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class PointerChase : public Kernel
+class PointerChase : public KernelOf<PointerChase>
 {
   public:
     /**
@@ -43,8 +43,6 @@ class PointerChase : public Kernel
         return 64.0 * unique;
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     bool parallelizable() const override { return false; }
     bool dependentAccesses() const override { return true; }
     double checksum() const override
@@ -53,9 +51,11 @@ class PointerChase : public Kernel
     }
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
-    runT(E &e)
+    runT(E &e, int /*part*/, int /*nparts*/)
     {
         // Node i's "next" pointer is next_[8*i] (nodes are 64 B apart so
         // consecutive hops never share a line).

@@ -60,18 +60,6 @@ SpmvCsr::init(uint64_t seed)
     }
 }
 
-void
-SpmvCsr::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-SpmvCsr::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 SpmvCsr::checksum() const
 {

@@ -28,7 +28,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class SpmvCsr : public Kernel
+class SpmvCsr : public KernelOf<SpmvCsr>
 {
   public:
     /**
@@ -46,13 +46,13 @@ class SpmvCsr : public Kernel
     }
     double expectedColdTrafficBytes() const override;
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
     size_t nnz() const { return rows_ * nnzPerRow_; }
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

@@ -26,18 +26,6 @@ Stencil3::init(uint64_t seed)
     }
 }
 
-void
-Stencil3::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Stencil3::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 Stencil3::checksum() const
 {

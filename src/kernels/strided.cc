@@ -38,16 +38,4 @@ StridedSum::init(uint64_t seed)
         x_[i] = rng.nextDouble(-1.0, 1.0);
 }
 
-void
-StridedSum::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-StridedSum::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 } // namespace rfl::kernels

@@ -25,7 +25,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class StridedSum : public Kernel
+class StridedSum : public KernelOf<StridedSum>
 {
   public:
     /**
@@ -43,13 +43,11 @@ class StridedSum : public Kernel
     }
     double expectedColdTrafficBytes() const override;
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override { return result_; }
 
-    size_t stride() const { return stride_; }
-
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

@@ -25,16 +25,4 @@ SumReduction::init(uint64_t seed)
         x_[i] = rng.nextDouble(-1.0, 1.0);
 }
 
-void
-SumReduction::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-SumReduction::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 } // namespace rfl::kernels

@@ -19,7 +19,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class SumReduction : public Kernel
+class SumReduction : public KernelOf<SumReduction>
 {
   public:
     explicit SumReduction(size_t n);
@@ -36,13 +36,11 @@ class SumReduction : public Kernel
         return 8.0 * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override { return result_; }
 
-    double result() const { return result_; }
-
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

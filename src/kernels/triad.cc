@@ -28,18 +28,6 @@ Triad::init(uint64_t seed)
     }
 }
 
-void
-Triad::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Triad::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 Triad::checksum() const
 {

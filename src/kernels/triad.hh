@@ -23,7 +23,7 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Triad : public Kernel
+class Triad : public KernelOf<Triad>
 {
   public:
     /**
@@ -44,11 +44,11 @@ class Triad : public Kernel
         return (nt_ ? 24.0 : 32.0) * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
   private:
+    friend KernelOf;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

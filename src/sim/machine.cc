@@ -403,14 +403,12 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
     Prefetcher *const l1pf = l1pf_[static_cast<size_t>(core)].get();
     const uint32_t line_shift = lineShift_;
 
-#ifdef RFL_TELEMETRY
     // Hoist the runtime gate out of the consume loop and accumulate in
     // locals; publish once at span end. The hot loop never touches an
     // atomic, and pays nothing beyond this one load when disabled.
     const bool telem_on = telemetry::simTelemetryEnabled();
     uint64_t telem_runs = 0;
     uint64_t telem_run_records = 0;
-#endif
 
     // retireFp() with the core lookup hoisted into cc.
     auto retire_fp = [&](uint8_t width_byte, uint64_t count) {
@@ -500,12 +498,10 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
                                      writes, reads);
                     if (prefetchEnabled_)
                         l1pf->countObservedN(reads + writes);
-#ifdef RFL_TELEMETRY
                     if (telem_on) {
                         ++telem_runs;
                         telem_run_records += j - i;
                     }
-#endif
                     i = j;
                     continue;
                 }
@@ -549,7 +545,6 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
         }
     }
 
-#ifdef RFL_TELEMETRY
     if (telem_on && telem_runs) {
         using telemetry::simCounters;
         simCounters().coalescedRuns.fetch_add(telem_runs,
@@ -557,7 +552,6 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
         simCounters().coalescedRecords.fetch_add(
             telem_run_records, std::memory_order_relaxed);
     }
-#endif
 }
 
 void

@@ -571,7 +571,6 @@ class Machine
      */
     mutable std::vector<BatchSource *> batchSources_;
 
-#ifdef RFL_TELEMETRY
     /**
      * True while drainBatchSources() is flushing: lets simulateBatch()
      * classify the batch it consumes by flush cause (observation-point
@@ -579,7 +578,6 @@ class Machine
      * simulation logic.
      */
     mutable bool telemDraining_ = false;
-#endif
 };
 
 // The data-path entry points and the resident-line fast path are inline:

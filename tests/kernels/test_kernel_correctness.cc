@@ -96,8 +96,9 @@ TEST_P(PartitionInvariance, PartitionedRunMatchesSequentialRun)
 INSTANTIATE_TEST_SUITE_P(
     Kernels, PartitionInvariance,
     ::testing::Values("daxpy:n=10000", "dot:n=10000", "triad:n=10000",
-                      "sum:n=10000", "stencil3:n=10000",
-                      "dgemv:m=64,n=96", "dgemm-blocked:n=48",
+                      "triad-nt:n=10000", "sum:n=10000",
+                      "stencil3:n=10000", "dgemv:m=64,n=96",
+                      "dgemm-naive:n=48", "dgemm-blocked:n=48",
                       "dgemm-opt:n=48", "spmv-csr:rows=512,nnz=8",
                       "strided-sum:n=4096,stride=16"),
     [](const ::testing::TestParamInfo<const char *> &info) {
@@ -107,6 +108,35 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+TEST(KernelOfDeath, BadPartitionPanicsOnBothEngines)
+{
+    // KernelOf checks the partition once for every kernel; the match
+    // on "parallelizable" pins the panic to that check, not to
+    // partitionRange's. Non-partitionable kernels reject nparts > 1,
+    // and every kernel rejects part == nparts.
+    sim::Machine machine(sim::MachineConfig::defaultPlatform());
+    const struct
+    {
+        const char *spec;
+        int part;
+        int nparts;
+    } cases[] = {{"fft:n=64", 0, 2},
+                 {"pointer-chase:nodes=64", 0, 2},
+                 {"daxpy:n=64", 2, 2}};
+    for (const auto &c : cases) {
+        const std::unique_ptr<Kernel> k = createKernel(c.spec);
+        k->init(1);
+        NativeEngine ne(1, true);
+        EXPECT_DEATH(k->run(ne, c.part, c.nparts),
+                     "assertion failed: .*parallelizable")
+            << c.spec;
+        SimEngine se(machine, 0, 1, true);
+        EXPECT_DEATH(k->run(se, c.part, c.nparts),
+                     "assertion failed: .*parallelizable")
+            << c.spec;
+    }
+}
 
 TEST(DgemmVariants, AllAgreeWithEachOther)
 {
@@ -291,8 +321,9 @@ TEST(Partition, AlignmentRespected)
     for (int p = 0; p < 3; ++p) {
         const auto [lo, hi] = partitionRange(1000, p, 3, 8);
         EXPECT_EQ(lo % 8, 0u);
-        if (hi != 1000)
+        if (hi != 1000) {
             EXPECT_EQ(hi % 8, 0u);
+        }
     }
 }
 
