@@ -150,7 +150,8 @@ main(int argc, char **argv)
     }
 
     cp::ExecutorOptions exec;
-    exec.threads = static_cast<int>(cli.getInt("threads", 0));
+    exec.threads =
+        static_cast<int>(cli.getInt("threads", 0, 0, maxThreadsFlag));
     // Recorded traces are artifacts: keep them with the rest of the
     // output (content-addressed, shared by every campaign using the
     // same out directory).

@@ -174,7 +174,8 @@ main(int argc, char **argv)
     }
 
     cp::ExecutorOptions exec;
-    exec.threads = static_cast<int>(cli.getInt("threads", 0));
+    exec.threads =
+        static_cast<int>(cli.getInt("threads", 0, 0, maxThreadsFlag));
     exec.traceDir = out + "/traces";
     std::unique_ptr<cp::ResultCache> cache;
     if (!cache_path.empty()) {

@@ -107,6 +107,14 @@ serve(int argc, char **argv)
     cli.addOption("quiet", "suppress per-request log lines");
     cli.parse(argc, argv);
 
+    // Range-check the listener flags before anything starts a thread
+    // (the queue's thread flags are checked below, before the queue).
+    sv::HttpServerOptions hopts;
+    hopts.host = cli.get("host", "127.0.0.1");
+    hopts.port = static_cast<int>(cli.getInt("port", 8080, 0, 65535));
+    hopts.workers = static_cast<int>(
+        cli.getInt("http-threads", 64, 0, maxThreadsFlag));
+
     const std::string out = cli.get("out", outputDirectory());
     ensureDirectory(out);
 
@@ -117,13 +125,14 @@ serve(int argc, char **argv)
     }
 
     sv::JobQueueOptions qopts;
-    qopts.workers = static_cast<int>(cli.getInt("queue-workers", 2));
+    qopts.workers = static_cast<int>(
+        cli.getInt("queue-workers", 2, 0, maxThreadsFlag));
     qopts.maxQueued =
         static_cast<size_t>(cli.getInt("queue-depth", 32));
     qopts.maxFinished =
         static_cast<size_t>(cli.getInt("retain", 256));
-    qopts.exec.threads =
-        static_cast<int>(cli.getInt("sim-threads", 0));
+    qopts.exec.threads = static_cast<int>(
+        cli.getInt("sim-threads", 0, 0, maxThreadsFlag));
     qopts.exec.jobTimeoutSeconds = cli.getDouble("job-timeout", 0.0);
     qopts.exec.traceDir = out + "/traces";
     qopts.cachePath = cache_path;
@@ -157,11 +166,6 @@ serve(int argc, char **argv)
         api.setTimeSeriesSampler(sampler.get());
     }
 
-    sv::HttpServerOptions hopts;
-    hopts.host = cli.get("host", "127.0.0.1");
-    hopts.port = static_cast<int>(cli.getInt("port", 8080));
-    hopts.workers =
-        static_cast<int>(cli.getInt("http-threads", 64));
     sv::HttpServer server(hopts);
     server.start([&api](const sv::HttpRequest &req) {
         return api.handle(req);

@@ -63,19 +63,14 @@ main(int argc, char **argv)
         fatal("--lanes must be 0 (machine max), 1, 2, 4 or 8 (got %ld)",
               lanes);
     const bool native = cli.has("native");
-    const long reps = cli.getInt("reps", native ? 5 : 2);
-    if (reps < 1 || reps > INT_MAX)
-        fatal("--reps must be a positive integer (got %ld)", reps);
+    const long reps = cli.getInt("reps", native ? 5 : 2, 1, INT_MAX);
     const std::string protocol = cli.get("protocol", "cold");
     if (protocol != "cold" && protocol != "warm")
         fatal("--protocol must be 'cold' or 'warm'");
-    const long n_cores = cli.getInt("cores", 1);
 
     if (native) {
-        const long host_threads =
-            std::max(1u, std::thread::hardware_concurrency());
-        if (n_cores < 1 || n_cores > host_threads)
-            fatal("--cores must be in [1, %ld] with --native", host_threads);
+        const long n_cores = cli.getInt(
+            "cores", 1, 1, std::max(1u, std::thread::hardware_concurrency()));
         NativeMeasurer nm;
         const std::unique_ptr<kernels::Kernel> kernel =
             kernels::createKernel(cli.get("kernel", "daxpy:n=1048576"));
@@ -113,8 +108,7 @@ main(int argc, char **argv)
     sim::Machine &machine = exp.machine();
     machine.setPrefetchEnabled(!cli.has("no-prefetch"));
 
-    if (n_cores < 1 || n_cores > machine.numCores())
-        fatal("--cores must be in [1, %d]", machine.numCores());
+    const long n_cores = cli.getInt("cores", 1, 1, machine.numCores());
 
     MeasureOptions opts;
     opts.cores.clear();

@@ -45,7 +45,7 @@ SimEngine::flush()
         batch_.clear();
     }
     // Deferred retirements ride in a trailing mini-batch of their own
-    // (they commute with everything that preceded them; see emitFp).
+    // (they commute with everything that preceded them; see onFp).
     materializePending();
     if (!batch_.empty()) {
         if (writer_)

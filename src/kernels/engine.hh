@@ -12,15 +12,23 @@
  *     load/store routed through the cache hierarchy and every FP op
  *     retired into the simulated core PMU).
  *
+ * The op set itself is written once too: both engines derive from
+ * EngineOps<E> (CRTP), which does the arithmetic of every op and reports
+ * what it retired through five private hooks (onLoad, onStore,
+ * onStoreNT, onFp, onOther). NativeEngine's hooks increment a
+ * sim::CoreCounters; SimEngine's hooks translate, batch and deliver to
+ * the machine.
+ *
  * The engine exposes scalar ops and variable-width vector ops (a `Vec` of
  * up to 8 doubles). A kernel compiled "for AVX" is simply the same source
  * run with an engine whose lanes() == 4; this is how the paper's
  * scalar/SSE/AVX ceiling comparison is reproduced without multiple kernel
  * bodies.
  *
- * FP counting convention (both engines, hardware-faithful): each op
- * retires one event of its width class; an FMA retires TWO events of its
- * width class. Total flops are later derived as sum(count * lanes).
+ * FP counting convention (both engines, hardware-faithful, kept in one
+ * place: sim::CoreCounters::retireFp): each op retires one event of its
+ * width class; an FMA retires TWO events of its width class. Total flops
+ * are later derived as sum(count * lanes).
  */
 
 #ifndef RFL_KERNELS_ENGINE_HH
@@ -44,84 +52,56 @@ class TraceWriter;
 namespace rfl::kernels
 {
 
-/** Fixed-capacity vector of doubles with runtime width (1..8 lanes). */
+/** Fixed-capacity vector of doubles; an engine uses its first lanes().*/
 struct Vec
 {
     std::array<double, 8> v{};
-    int w = 1;
 
     double &operator[](int i) { return v[static_cast<size_t>(i)]; }
     double operator[](int i) const { return v[static_cast<size_t>(i)]; }
 };
 
-/** Software op counters kept by NativeEngine (mirrors sim CoreCounters).*/
-struct NativeCounters
-{
-    /** FP retirements by width class; FMA counted twice. */
-    std::array<uint64_t, 4> fpRetired{};
-    uint64_t loads = 0;
-    uint64_t stores = 0;
-    uint64_t otherUops = 0;
-
-    /** @return width-weighted flops (same formula as the PMU layer). */
-    uint64_t
-    flops() const
-    {
-        uint64_t total = 0;
-        for (int i = 0; i < 4; ++i) {
-            total += fpRetired[static_cast<size_t>(i)] *
-                     static_cast<uint64_t>(
-                         sim::vecLanes(static_cast<sim::VecWidth>(i)));
-        }
-        return total;
-    }
-};
-
 /**
- * Engine running on the host CPU.
+ * The kernel-facing op set, written once for both engines (CRTP).
  *
- * All instrumentation is plain counter increments so the native path
- * stays fast enough for real peak/bandwidth probing.
+ * Every op does its arithmetic here and reports what it retired through
+ * one of five private hooks of the engine E:
+ *   - onLoad(p, bytes), onStore(p, bytes), onStoreNT(p, bytes): one
+ *     memory uop of @p bytes at host pointer @p p (a vector access is
+ *     one call with its full width, never one per lane);
+ *   - onFp(w, fma, count): @p count FP ops of width class @p w
+ *     (sim::CoreCounters::retireFp holds the counting convention);
+ *   - onOther(uops): non-FP, non-memory uops (loop overhead).
+ * The hooks run before the op touches memory, so E sees every access
+ * in program order.
  */
-class NativeEngine
+template <typename E>
+class EngineOps
 {
   public:
-    /**
-     * @param lanes    vector width in doubles (1, 2, 4 or 8)
-     * @param use_fma  whether fmadd() fuses (1 uop, 2 ops retired) or
-     *                 splits into mul+add
-     */
-    explicit NativeEngine(int lanes = 1, bool use_fma = true)
-        : lanes_(lanes), fma_(use_fma)
-    {
-        RFL_ASSERT(lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8);
-    }
-
     int lanes() const { return lanes_; }
     bool fmaEnabled() const { return fma_; }
-
-    const NativeCounters &counters() const { return counters_; }
 
     // --- scalar ---
     double
     load(const double *p)
     {
-        ++counters_.loads;
+        self().onLoad(p, 8);
         return *p;
     }
 
     void
     store(double *p, double x)
     {
-        ++counters_.stores;
+        self().onStore(p, 8);
         *p = x;
     }
 
-    /** Non-temporal store; identical to store() on the native path. */
+    /** Non-temporal store (bypasses the caches on the simulator). */
     void
     storeNT(double *p, double x)
     {
-        ++counters_.stores;
+        self().onStoreNT(p, 8);
         *p = x;
     }
 
@@ -129,39 +109,33 @@ class NativeEngine
      * Count a non-FP load of @p bytes (index arrays, pointer chasing).
      * The caller dereferences the pointer itself.
      */
-    void
-    loadRaw(const void *p, uint32_t bytes)
-    {
-        (void)p;
-        (void)bytes;
-        ++counters_.loads;
-    }
+    void loadRaw(const void *p, uint32_t bytes) { self().onLoad(p, bytes); }
 
     double
     add(double a, double b)
     {
-        countFp(1, false);
+        scalarFp();
         return a + b;
     }
 
     double
     sub(double a, double b)
     {
-        countFp(1, false);
+        scalarFp();
         return a - b;
     }
 
     double
     mul(double a, double b)
     {
-        countFp(1, false);
+        scalarFp();
         return a * b;
     }
 
     double
     div(double a, double b)
     {
-        countFp(1, false);
+        scalarFp();
         return a / b;
     }
 
@@ -169,12 +143,7 @@ class NativeEngine
     double
     fmadd(double a, double b, double c)
     {
-        if (fma_) {
-            countFp(1, true);
-        } else {
-            countFp(1, false);
-            countFp(1, false);
-        }
+        fusedFp(sim::VecWidth::Scalar);
         return a * b + c;
     }
 
@@ -182,9 +151,8 @@ class NativeEngine
     Vec
     vload(const double *p)
     {
-        ++counters_.loads;
+        self().onLoad(p, vecBytes());
         Vec r;
-        r.w = lanes_;
         for (int i = 0; i < lanes_; ++i)
             r[i] = p[i];
         return r;
@@ -193,7 +161,7 @@ class NativeEngine
     void
     vstore(double *p, const Vec &x)
     {
-        ++counters_.stores;
+        self().onStore(p, vecBytes());
         for (int i = 0; i < lanes_; ++i)
             p[i] = x[i];
     }
@@ -201,14 +169,15 @@ class NativeEngine
     void
     vstoreNT(double *p, const Vec &x)
     {
-        vstore(p, x);
+        self().onStoreNT(p, vecBytes());
+        for (int i = 0; i < lanes_; ++i)
+            p[i] = x[i];
     }
 
     Vec
     vbroadcast(double s) const
     {
         Vec r;
-        r.w = lanes_;
         for (int i = 0; i < lanes_; ++i)
             r[i] = s;
         return r;
@@ -217,9 +186,8 @@ class NativeEngine
     Vec
     vadd(const Vec &a, const Vec &b)
     {
-        countFp(lanes_, false);
+        self().onFp(width_, false, 1);
         Vec r;
-        r.w = lanes_;
         for (int i = 0; i < lanes_; ++i)
             r[i] = a[i] + b[i];
         return r;
@@ -228,9 +196,8 @@ class NativeEngine
     Vec
     vmul(const Vec &a, const Vec &b)
     {
-        countFp(lanes_, false);
+        self().onFp(width_, false, 1);
         Vec r;
-        r.w = lanes_;
         for (int i = 0; i < lanes_; ++i)
             r[i] = a[i] * b[i];
         return r;
@@ -239,14 +206,8 @@ class NativeEngine
     Vec
     vfmadd(const Vec &a, const Vec &b, const Vec &c)
     {
-        if (fma_) {
-            countFp(lanes_, true);
-        } else {
-            countFp(lanes_, false);
-            countFp(lanes_, false);
-        }
+        fusedFp(width_);
         Vec r;
-        r.w = lanes_;
         for (int i = 0; i < lanes_; ++i)
             r[i] = a[i] * b[i] + c[i];
         return r;
@@ -260,8 +221,8 @@ class NativeEngine
         for (int i = 1; i < lanes_; ++i)
             s += a[i];
         if (lanes_ > 1) {
-            counters_.fpRetired[0] +=
-                static_cast<uint64_t>(lanes_ - 1);
+            self().onFp(sim::VecWidth::Scalar, false,
+                        static_cast<uint64_t>(lanes_ - 1));
         }
         return s;
     }
@@ -270,29 +231,85 @@ class NativeEngine
     void
     loop(uint64_t iters, uint64_t uops_per_iter = 2)
     {
-        counters_.otherUops += iters * uops_per_iter;
+        self().onOther(iters * uops_per_iter);
+    }
+
+  protected:
+    /**
+     * @param lanes    vector width in doubles (1, 2, 4 or 8; anything
+     *                 else panics in sim::widthForLanes)
+     * @param use_fma  whether fmadd()/vfmadd() fuse (1 uop, 2 ops
+     *                 retired) or split into mul + add
+     */
+    EngineOps(int lanes, bool use_fma)
+        : lanes_(lanes), fma_(use_fma), width_(sim::widthForLanes(lanes))
+    {
     }
 
   private:
+    E &self() { return static_cast<E &>(*this); }
+
+    uint32_t vecBytes() const { return static_cast<uint32_t>(8 * lanes_); }
+
+    void scalarFp() { self().onFp(sim::VecWidth::Scalar, false, 1); }
+
     void
-    countFp(int width_lanes, bool fma)
+    fusedFp(sim::VecWidth w)
     {
-        const auto w =
-            static_cast<size_t>(sim::widthForLanes(width_lanes));
-        counters_.fpRetired[w] += fma ? 2 : 1;
+        if (fma_)
+            self().onFp(w, true, 1);
+        else
+            self().onFp(w, false, 2); // a mul and an add
     }
 
     int lanes_;
     bool fma_;
-    NativeCounters counters_;
+    sim::VecWidth width_;
+};
+
+/**
+ * Engine running on the host CPU.
+ *
+ * All instrumentation is plain counter increments into a
+ * sim::CoreCounters (the same fields the simulated core fills), so the
+ * native path stays fast enough for real peak/bandwidth probing.
+ */
+class NativeEngine : public EngineOps<NativeEngine>
+{
+  public:
+    explicit NativeEngine(int lanes = 1, bool use_fma = true)
+        : EngineOps(lanes, use_fma)
+    {
+    }
+
+    /** @return ops retired so far; the traffic fields stay zero. */
+    const sim::CoreCounters &counters() const { return counters_; }
+
+  private:
+    friend EngineOps;
+
+    void onLoad(const void *, uint32_t) { ++counters_.loadUops; }
+    void onStore(const void *, uint32_t) { ++counters_.storeUops; }
+    void onStoreNT(const void *, uint32_t) { ++counters_.storeUops; }
+
+    void
+    onFp(sim::VecWidth w, bool fma, uint64_t count)
+    {
+        counters_.retireFp(w, fma, count);
+    }
+
+    void onOther(uint64_t uops) { counters_.otherUops += uops; }
+
+    sim::CoreCounters counters_;
 };
 
 /**
  * Engine driving the simulated machine on behalf of one simulated core.
  *
- * Performs the same arithmetic as NativeEngine (results stay verifiable)
+ * Performs the same arithmetic as NativeEngine (the shared EngineOps)
  * while routing every memory access through the cache hierarchy and
- * retiring every FP op into the simulated core's counters.
+ * retiring every FP op into the simulated core's counters. Host
+ * pointers are translated through the active AddressArena first.
  *
  * Dispatch: by default the engine does not call into the machine per
  * access. It appends each event to an AccessBatch (the access-stream IR,
@@ -310,13 +327,13 @@ class NativeEngine
  * flushed batch is also serialized, so a kernel run produces an on-disk
  * trace as a byproduct of normal simulation (see trace/trace_file.hh).
  *
- * Memory entry points are batch-friendly: a vector access enters the
- * stream exactly once with its full byte count (one IR record; the
- * machine splits into lines with one shift), never once per lane, so
- * the simulated-access rate of a vectorized kernel is bounded by lines
- * touched, not elements moved (see DESIGN.md §7–8).
+ * A vector access enters the stream exactly once with its full byte
+ * count (one IR record; the machine splits into lines with one shift),
+ * so the simulated-access rate of a vectorized kernel is bounded by
+ * lines touched, not elements moved (see DESIGN.md §7–8).
  */
-class SimEngine : public sim::Machine::BatchSource
+class SimEngine : public EngineOps<SimEngine>,
+                  public sim::Machine::BatchSource
 {
   public:
     /** How simulated events reach the machine. */
@@ -338,13 +355,11 @@ class SimEngine : public sim::Machine::BatchSource
      */
     SimEngine(sim::Machine &machine, int core, int lanes, bool use_fma,
               Dispatch dispatch = Dispatch::Batched)
-        : machine_(machine), core_(core), lanes_(lanes),
-          fma_(use_fma && machine.config().core.hasFma),
-          dispatch_(dispatch),
+        : EngineOps(lanes, use_fma && machine.config().core.hasFma),
+          machine_(machine), core_(core), dispatch_(dispatch),
           lineShift_(static_cast<uint32_t>(
               std::countr_zero(machine.config().l1.lineBytes)))
     {
-        RFL_ASSERT(lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8);
         if (lanes > machine.config().core.maxVectorDoubles) {
             fatal("SimEngine: %d lanes exceeds machine vector width %d",
                   lanes, machine.config().core.maxVectorDoubles);
@@ -363,10 +378,6 @@ class SimEngine : public sim::Machine::BatchSource
 
     SimEngine(const SimEngine &) = delete;
     SimEngine &operator=(const SimEngine &) = delete;
-
-    int lanes() const { return lanes_; }
-    bool fmaEnabled() const { return fma_; }
-    sim::Machine &machine() { return machine_; }
 
     /**
      * Simulate (and, when recording, serialize) every buffered record.
@@ -405,64 +416,42 @@ class SimEngine : public sim::Machine::BatchSource
         writer_ = writer;
     }
 
-    /** @name Raw IR emission (pre-translated simulated addresses).
-     * Used by trace replay (TraceKernel) to feed a recorded stream back
-     * through the engine; the instrumented load()/store()/... methods
-     * below funnel into these. */
-    ///@{
+    /**
+     * Replay a whole decoded batch (pre-translated simulated
+     * addresses): flushes buffered records first (stream order), then
+     * records/simulates @p b with every record remapped onto this
+     * engine's core. Trace replay (TraceKernel) feeds a recorded stream
+     * back through the engine this way.
+     */
+    void emitBatch(const trace::AccessBatch &b);
+
+  private:
+    friend EngineOps;
+
+    // --- EngineOps hooks ---
     void
-    emitLoad(uint64_t addr, uint32_t bytes)
+    onLoad(const void *p, uint32_t bytes)
     {
-        if (dispatch_ == Dispatch::Direct) {
-            machine_.load(core_, addr, bytes);
-            return;
-        }
-        if (bypassBatching()) {
-            machine_.load(core_, addr, bytes);
-            return;
-        }
-        if (batch_.n >= batchLimit_)
-            flush();
-        batch_.pushMem(trace::AccessKind::Load, core_, addr, bytes,
-                       noteLine(addr, bytes));
+        emitMem(trace::AccessKind::Load, AddressArena::translate(p),
+                bytes);
     }
 
     void
-    emitStore(uint64_t addr, uint32_t bytes)
+    onStore(const void *p, uint32_t bytes)
     {
-        if (dispatch_ == Dispatch::Direct) {
-            machine_.store(core_, addr, bytes);
-            return;
-        }
-        if (bypassBatching()) {
-            machine_.store(core_, addr, bytes);
-            return;
-        }
-        if (batch_.n >= batchLimit_)
-            flush();
-        batch_.pushMem(trace::AccessKind::Store, core_, addr, bytes,
-                       noteLine(addr, bytes));
+        emitMem(trace::AccessKind::Store, AddressArena::translate(p),
+                bytes);
     }
 
     void
-    emitStoreNT(uint64_t addr, uint32_t bytes)
+    onStoreNT(const void *p, uint32_t bytes)
     {
-        if (dispatch_ == Dispatch::Direct) {
-            machine_.storeNT(core_, addr, bytes);
-            return;
-        }
-        if (bypassBatching()) {
-            machine_.storeNT(core_, addr, bytes);
-            return;
-        }
-        if (batch_.n >= batchLimit_)
-            flush();
-        prevLine_ = ~0ull; // NT stores never extend a same-line run
-        batch_.pushMem(trace::AccessKind::StoreNT, core_, addr, bytes);
+        emitMem(trace::AccessKind::StoreNT, AddressArena::translate(p),
+                bytes);
     }
 
     void
-    emitFp(sim::VecWidth w, bool fma, uint64_t count = 1)
+    onFp(sim::VecWidth w, bool fma, uint64_t count)
     {
         if (dispatch_ == Dispatch::Direct) {
             machine_.retireFp(core_, w, fma, count);
@@ -480,192 +469,50 @@ class SimEngine : public sim::Machine::BatchSource
     }
 
     void
-    emitOther(uint64_t uops)
+    onOther(uint64_t uops)
     {
         if (dispatch_ == Dispatch::Direct) {
             machine_.retireOther(core_, uops);
             return;
         }
-        // Commutes exactly like FP retirement (see emitFp).
+        // Commutes exactly like FP retirement (see onFp).
         pendingOther_ += uops;
     }
 
     /**
-     * Replay a whole decoded batch: flushes buffered records first
-     * (stream order), then records/simulates @p b with every record
-     * remapped onto this engine's core.
+     * Deliver one memory access at simulated address @p addr: straight
+     * to the machine (Direct dispatch or bypassBatching()), else into
+     * the batch. @p kind is a constant at every call site, so each hook
+     * inlines to its own branch.
      */
-    void emitBatch(const trace::AccessBatch &b);
-    ///@}
-
-    // --- scalar ---
-    double
-    load(const double *p)
-    {
-        emitLoad(AddressArena::translate(p), 8);
-        return *p;
-    }
-
     void
-    store(double *p, double x)
+    emitMem(trace::AccessKind kind, uint64_t addr, uint32_t bytes)
     {
-        emitStore(AddressArena::translate(p), 8);
-        *p = x;
-    }
-
-    void
-    storeNT(double *p, double x)
-    {
-        emitStoreNT(AddressArena::translate(p), 8);
-        *p = x;
-    }
-
-    /** Non-FP load of @p bytes routed through the hierarchy. */
-    void
-    loadRaw(const void *p, uint32_t bytes)
-    {
-        emitLoad(AddressArena::translate(p), bytes);
-    }
-
-    double
-    add(double a, double b)
-    {
-        emitFp(sim::VecWidth::Scalar, false);
-        return a + b;
-    }
-
-    double
-    sub(double a, double b)
-    {
-        emitFp(sim::VecWidth::Scalar, false);
-        return a - b;
-    }
-
-    double
-    mul(double a, double b)
-    {
-        emitFp(sim::VecWidth::Scalar, false);
-        return a * b;
-    }
-
-    double
-    div(double a, double b)
-    {
-        emitFp(sim::VecWidth::Scalar, false);
-        return a / b;
-    }
-
-    double
-    fmadd(double a, double b, double c)
-    {
-        if (fma_) {
-            emitFp(sim::VecWidth::Scalar, true);
+        if (dispatch_ == Dispatch::Direct || bypassBatching()) {
+            switch (kind) {
+              case trace::AccessKind::Load:
+                machine_.load(core_, addr, bytes);
+                break;
+              case trace::AccessKind::Store:
+                machine_.store(core_, addr, bytes);
+                break;
+              default:
+                machine_.storeNT(core_, addr, bytes);
+                break;
+            }
+            return;
+        }
+        if (batch_.n >= batchLimit_)
+            flush();
+        if (kind == trace::AccessKind::StoreNT) {
+            prevLine_ = ~0ull; // NT stores never extend a same-line run
+            batch_.pushMem(kind, core_, addr, bytes);
         } else {
-            emitFp(sim::VecWidth::Scalar, false);
-            emitFp(sim::VecWidth::Scalar, false);
+            batch_.pushMem(kind, core_, addr, bytes,
+                           noteLine(addr, bytes));
         }
-        return a * b + c;
     }
 
-    // --- vector (one IR record per operation) ---
-    Vec
-    vload(const double *p)
-    {
-        emitLoad(AddressArena::translate(p),
-                 static_cast<uint32_t>(8 * lanes_));
-        Vec r;
-        r.w = lanes_;
-        for (int i = 0; i < lanes_; ++i)
-            r[i] = p[i];
-        return r;
-    }
-
-    void
-    vstore(double *p, const Vec &x)
-    {
-        emitStore(AddressArena::translate(p),
-                  static_cast<uint32_t>(8 * lanes_));
-        for (int i = 0; i < lanes_; ++i)
-            p[i] = x[i];
-    }
-
-    void
-    vstoreNT(double *p, const Vec &x)
-    {
-        emitStoreNT(AddressArena::translate(p),
-                    static_cast<uint32_t>(8 * lanes_));
-        for (int i = 0; i < lanes_; ++i)
-            p[i] = x[i];
-    }
-
-    Vec
-    vbroadcast(double s) const
-    {
-        Vec r;
-        r.w = lanes_;
-        for (int i = 0; i < lanes_; ++i)
-            r[i] = s;
-        return r;
-    }
-
-    Vec
-    vadd(const Vec &a, const Vec &b)
-    {
-        emitFp(sim::widthForLanes(lanes_), false);
-        Vec r;
-        r.w = lanes_;
-        for (int i = 0; i < lanes_; ++i)
-            r[i] = a[i] + b[i];
-        return r;
-    }
-
-    Vec
-    vmul(const Vec &a, const Vec &b)
-    {
-        emitFp(sim::widthForLanes(lanes_), false);
-        Vec r;
-        r.w = lanes_;
-        for (int i = 0; i < lanes_; ++i)
-            r[i] = a[i] * b[i];
-        return r;
-    }
-
-    Vec
-    vfmadd(const Vec &a, const Vec &b, const Vec &c)
-    {
-        if (fma_) {
-            emitFp(sim::widthForLanes(lanes_), true);
-        } else {
-            emitFp(sim::widthForLanes(lanes_), false);
-            emitFp(sim::widthForLanes(lanes_), false);
-        }
-        Vec r;
-        r.w = lanes_;
-        for (int i = 0; i < lanes_; ++i)
-            r[i] = a[i] * b[i] + c[i];
-        return r;
-    }
-
-    double
-    vreduce(const Vec &a)
-    {
-        double s = a[0];
-        for (int i = 1; i < lanes_; ++i)
-            s += a[i];
-        if (lanes_ > 1) {
-            emitFp(sim::VecWidth::Scalar, false,
-                   static_cast<uint64_t>(lanes_ - 1));
-        }
-        return s;
-    }
-
-    void
-    loop(uint64_t iters, uint64_t uops_per_iter = 2)
-    {
-        emitOther(iters * uops_per_iter);
-    }
-
-  private:
     /** Move accumulated FP/uop retirements into batch_ as records. */
     void materializePending();
 
@@ -678,7 +525,7 @@ class SimEngine : public sim::Machine::BatchSource
      * because setDependentAccesses() drains attached sources before
      * toggling, so the buffer is empty whenever the mode flips; FP and
      * uop retirements keep accumulating (they commute with every
-     * memory access, see emitFp). Disabled while recording: a trace
+     * memory access, see onFp). Disabled while recording: a trace
      * must contain every record. prevLine_ is cleared so a stale
      * same-line hint can never leak across a bypass period.
      */
@@ -714,8 +561,6 @@ class SimEngine : public sim::Machine::BatchSource
 
     sim::Machine &machine_;
     int core_;
-    int lanes_;
-    bool fma_;
     Dispatch dispatch_;
     uint32_t lineShift_;
     /** Line of the last appended memory record (~0 = none/multi-line).*/

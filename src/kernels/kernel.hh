@@ -22,7 +22,10 @@
  * plus `friend KernelOf;`. KernelOf supplies both virtual run()
  * overrides, checks the partition once, and calls runT with the
  * concrete engine, so each body is instantiated for NativeEngine and
- * SimEngine and dispatch costs one virtual call per run.
+ * SimEngine and dispatch costs one virtual call per run. The ops a body
+ * calls (load ... vfmadd, vreduce, loop) are defined once, in
+ * EngineOps (engine.hh), so both instantiations compute the same
+ * results and count the same work.
  */
 
 #ifndef RFL_KERNELS_KERNEL_HH

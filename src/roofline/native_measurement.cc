@@ -50,7 +50,7 @@ NativeMeasurer::evictCaches(size_t bytes)
 void
 NativeMeasurer::runOnce(kernels::Kernel &kernel,
                         const NativeMeasureOptions &opts,
-                        kernels::NativeCounters &total)
+                        sim::CoreCounters &total)
 {
     const int nparts = opts.threads;
     if (nparts == 1) {
@@ -59,8 +59,7 @@ NativeMeasurer::runOnce(kernels::Kernel &kernel,
         total = engine.counters();
         return;
     }
-    std::vector<kernels::NativeCounters> parts(
-        static_cast<size_t>(nparts));
+    std::vector<sim::CoreCounters> parts(static_cast<size_t>(nparts));
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(nparts));
     for (int p = 0; p < nparts; ++p) {
@@ -72,14 +71,9 @@ NativeMeasurer::runOnce(kernels::Kernel &kernel,
     }
     for (std::thread &t : threads)
         t.join();
-    total = kernels::NativeCounters{};
-    for (const kernels::NativeCounters &c : parts) {
-        for (size_t i = 0; i < 4; ++i)
-            total.fpRetired[i] += c.fpRetired[i];
-        total.loads += c.loads;
-        total.stores += c.stores;
-        total.otherUops += c.otherUops;
-    }
+    total = sim::CoreCounters{};
+    for (const sim::CoreCounters &c : parts)
+        total += c;
 }
 
 NativeMeasurement
@@ -111,7 +105,7 @@ NativeMeasurer::measure(kernels::Kernel &kernel,
 
     kernel.init(opts.seed);
     if (!cold) {
-        kernels::NativeCounters ignore;
+        sim::CoreCounters ignore;
         for (int i = 0; i < opts.warmupRuns; ++i)
             runOnce(kernel, opts, ignore);
     }
@@ -123,7 +117,7 @@ NativeMeasurer::measure(kernels::Kernel &kernel,
         if (cold)
             evictCaches(opts.flushBufferBytes);
 
-        kernels::NativeCounters counters;
+        sim::CoreCounters counters;
         if (use_perf)
             perf_->begin();
         const double t0 = nowSeconds();

@@ -88,7 +88,7 @@ class NativeMeasurer
 
     /** Run the kernel once across opts.threads host threads. */
     void runOnce(kernels::Kernel &kernel, const NativeMeasureOptions &opts,
-                 kernels::NativeCounters &total);
+                 sim::CoreCounters &total);
 
     std::unique_ptr<pmu::PerfEventBackend> perf_;
     AlignedBuffer<double> evictBuffer_;

@@ -14,6 +14,7 @@
 #define RFL_SIM_CORE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace rfl::sim
@@ -74,6 +75,18 @@ struct CoreCounters
 
     /** Sum of demand-miss service latencies (cycles), pre-MLP-division. */
     double latencyCycles = 0;
+
+    /**
+     * Retire @p count FP ops of width class @p w. Hardware-faithful: an
+     * FMA bumps its width's counter by two, any other op by one; each
+     * op is one FP uop either way.
+     */
+    void
+    retireFp(VecWidth w, bool fma, uint64_t count)
+    {
+        fpRetired[static_cast<std::size_t>(w)] += count * (fma ? 2 : 1);
+        fpUops += count;
+    }
 
     /** @return total retired double-precision flops (width-weighted). */
     uint64_t flops() const;

@@ -423,8 +423,7 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
         }
         if (fma && !cfg_.core.hasFma)
             panic("core %d retiring FMA on a machine without FMA", core);
-        cc.fpRetired[static_cast<size_t>(w)] += count * (fma ? 2 : 1);
-        cc.fpUops += count;
+        cc.retireFp(w, fma, count);
     };
 
     uint32_t i = begin;

@@ -669,10 +669,7 @@ Machine::retireFp(int core, VecWidth w, bool fma, uint64_t count)
     }
     if (fma && !cfg_.core.hasFma)
         panic("core %d retiring FMA on a machine without FMA", core);
-    CoreCounters &cc = cores_[core];
-    // Hardware-faithful: one FMA retirement bumps the counter by two.
-    cc.fpRetired[static_cast<size_t>(w)] += count * (fma ? 2 : 1);
-    cc.fpUops += count;
+    cores_[core].retireFp(w, fma, count);
 }
 
 inline void

@@ -1,5 +1,6 @@
 #include "support/cli.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -66,16 +67,20 @@ Cli::get(const std::string &name, const std::string &fallback) const
 }
 
 long
-Cli::getInt(const std::string &name, long fallback) const
+Cli::getInt(const std::string &name, long fallback, long lo, long hi) const
 {
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     const long v = std::strtol(it->second.c_str(), &end, 0);
     if (*end != '\0')
         fatal("option --%s expects an integer, got '%s'", name.c_str(),
               it->second.c_str());
+    if (errno == ERANGE || v < lo || v > hi)
+        fatal("option --%s must be in [%ld, %ld], got '%s'", name.c_str(),
+              lo, hi, it->second.c_str());
     return v;
 }
 

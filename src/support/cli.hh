@@ -10,12 +10,16 @@
 #ifndef RFL_SUPPORT_CLI_HH
 #define RFL_SUPPORT_CLI_HH
 
+#include <climits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace rfl
 {
+
+/** Upper bound of every thread-count flag (0 = one per hardware thread).*/
+constexpr long maxThreadsFlag = 1024;
 
 /** Parsed command line: options plus positional arguments. */
 class Cli
@@ -48,8 +52,13 @@ class Cli
     std::string get(const std::string &name,
                     const std::string &fallback = "") const;
 
-    /** @return integer value of --name, or @p fallback when absent. */
-    long getInt(const std::string &name, long fallback) const;
+    /**
+     * @return integer value of --name, or @p fallback when absent.
+     * A value that is not an integer or lies outside [@p lo, @p hi] is
+     * a fatal() naming the flag (the fallback is not checked).
+     */
+    long getInt(const std::string &name, long fallback,
+                long lo = LONG_MIN, long hi = LONG_MAX) const;
 
     /** @return double value of --name, or @p fallback when absent. */
     double getDouble(const std::string &name, double fallback) const;

@@ -212,22 +212,20 @@ Profiler::stop(const std::string &label)
     for (uint64_t i = 0; i < taken; ++i) {
         void **fr = state->frames.data() + i * state->maxDepth;
         const size_t depth = state->depths[i];
-        // Leading frames are the signal path (handler + kernel
-        // trampoline); cut everything through the handler so the
-        // leaf is the interrupted function.
+        // Leading frames are the signal path: the handler, then the
+        // kernel's signal-return trampoline. Cut through the handler
+        // by name and the trampoline by position (glibc does not
+        // export its name, so dladdr renders it as "libc.so.6+0x…"),
+        // leaving the interrupted function as the leaf.
         size_t start = 0;
         for (size_t f = 0; f < depth; ++f) {
             const std::string &sym = nameFor(fr[f]);
             if (sym.find("rflProfilerSignalHandler") !=
                 std::string::npos) {
-                start = f + 1;
+                start = f + 2;
                 break;
             }
         }
-        if (start < depth &&
-            nameFor(fr[start]).find("__restore_rt") !=
-                std::string::npos)
-            ++start;
         if (start >= depth)
             continue;
         std::vector<std::string> stack;

@@ -56,12 +56,12 @@ TEST(NativeEngine, VectorCountsByWidthClass)
     e.vadd(v, v);           // 1x 256b
     e.vfmadd(v, v, v);      // 2x 256b (FMA)
     e.vreduce(v);           // 3 scalar adds
-    const NativeCounters &c = e.counters();
+    const sim::CoreCounters &c = e.counters();
     EXPECT_EQ(c.fpRetired[2], 3u);
     EXPECT_EQ(c.fpRetired[0], 3u);
     // flops = 3*4 + 3*1 = 15.
     EXPECT_EQ(c.flops(), 15u);
-    EXPECT_EQ(c.loads, 1u);
+    EXPECT_EQ(c.loadUops, 1u);
 }
 
 TEST(NativeEngine, StoresWriteThrough)
@@ -72,7 +72,7 @@ TEST(NativeEngine, StoresWriteThrough)
     e.vstore(out, v);
     EXPECT_DOUBLE_EQ(out[0], 7.0);
     EXPECT_DOUBLE_EQ(out[1], 7.0);
-    EXPECT_EQ(e.counters().stores, 1u);
+    EXPECT_EQ(e.counters().storeUops, 1u);
 }
 
 TEST(NativeEngine, LoopAndRawLoadCounting)
@@ -81,7 +81,7 @@ TEST(NativeEngine, LoopAndRawLoadCounting)
     int idx = 3;
     e.loadRaw(&idx, 4);
     e.loop(10, 2);
-    EXPECT_EQ(e.counters().loads, 1u);
+    EXPECT_EQ(e.counters().loadUops, 1u);
     EXPECT_EQ(e.counters().otherUops, 20u);
 }
 

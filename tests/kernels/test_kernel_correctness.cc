@@ -48,6 +48,15 @@ TEST_P(ChecksumParity, NativeAndSimProduceIdenticalResults)
 
     EXPECT_DOUBLE_EQ(native_sum, sim_sum) << spec;
     EXPECT_TRUE(std::isfinite(native_sum));
+
+    // Both engines count work one way (EngineOps + CoreCounters).
+    const sim::CoreCounters &nc = ne.counters();
+    const sim::CoreCounters &sc = machine.coreCounters(0);
+    EXPECT_EQ(nc.fpRetired, sc.fpRetired) << spec;
+    EXPECT_EQ(nc.fpUops, sc.fpUops) << spec;
+    EXPECT_EQ(nc.loadUops, sc.loadUops) << spec;
+    EXPECT_EQ(nc.storeUops, sc.storeUops) << spec;
+    EXPECT_EQ(nc.otherUops, sc.otherUops) << spec;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,6 @@
 /** @file Tests for the sampling profiler (DESIGN.md §14). */
 
-#include <atomic>
+#include <cstdint>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -8,6 +8,24 @@
 #include <gtest/gtest.h>
 
 #include "telemetry/profiler.hh"
+
+// A known hot function for the live capture: external linkage (the
+// executables export their symbols, so dladdr can name it) and never
+// inlined, so a sample that lands in it must report it as the leaf.
+extern "C" __attribute__((noinline)) uint64_t
+rflProfilerTestBusyLoop(int millis)
+{
+    uint64_t x = 1;
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(millis);
+    while (std::chrono::steady_clock::now() < until) {
+        for (int i = 0; i < 100000; ++i) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            asm volatile("" : "+r"(x)); // keep every step
+        }
+    }
+    return x;
+}
 
 namespace
 {
@@ -110,26 +128,32 @@ TEST(Profiler, LiveCaptureAttributesBusyLoop)
     EXPECT_TRUE(Profiler::instance().running());
 
     // Burn ~200 ms of CPU so SIGPROF has something to land on.
-    std::atomic<uint64_t> sink{0};
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(200);
-    while (std::chrono::steady_clock::now() < until)
-        sink.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t sink = rflProfilerTestBusyLoop(200);
 
     const Profile p = Profiler::instance().stop("busy loop");
+    EXPECT_NE(sink, 0u);
     EXPECT_FALSE(Profiler::instance().running());
     // ~200 samples expected at 997 Hz over 200 ms of CPU; be lenient —
     // CI machines throttle — but some must have landed.
     EXPECT_GT(p.samples, 5u);
     EXPECT_FALSE(p.stacks.empty());
     uint64_t total = 0;
+    uint64_t busy_leaf = 0;
     for (const CollapsedStack &cs : p.stacks) {
         total += cs.count;
         // The signal path must have been stripped during symbolization.
         EXPECT_EQ(cs.stack.find("rflProfilerSignalHandler"),
                   std::string::npos);
+        const size_t semi = cs.stack.rfind(';');
+        const std::string leaf =
+            semi == std::string::npos ? cs.stack : cs.stack.substr(semi + 1);
+        if (leaf.find("rflProfilerTestBusyLoop") != std::string::npos)
+            busy_leaf += cs.count;
     }
     EXPECT_LE(total, p.samples);
+    // The hot function is its own leaf: the signal trampoline must not
+    // stand in for it.
+    EXPECT_GE(2 * busy_leaf, total) << busy_leaf << " of " << total;
 
     // A second capture after stop() must work (state fully reset).
     ASSERT_TRUE(Profiler::instance().start(opts));
