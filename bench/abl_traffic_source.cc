@@ -17,8 +17,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "kernels/registry.hh"
-#include "pmu/sim_backend.hh"
 #include "support/table.hh"
 #include "support/units.hh"
 
@@ -44,27 +42,17 @@ main()
     for (const std::string &spec : specs) {
         for (bool pf : {false, true}) {
             exp.machine().setPrefetchEnabled(pf);
-            const std::unique_ptr<kernels::Kernel> kernel =
-                kernels::createKernel(spec);
-            kernel->setLlcHintBytes(
-                exp.machine().config().l3.sizeBytes);
-            kernel->init(42);
-            exp.machine().reset();
-            exp.machine().flushAllCaches();
-            pmu::SimBackend backend(exp.machine());
-            backend.begin();
-            kernels::SimEngine e(exp.machine(), 0, 4, true);
-            kernel->run(e, 0, 1);
-            exp.machine().flushAllCaches({0});
-            const pmu::Counts c = backend.end();
+            const rfl::bench::KernelCounts run =
+                rfl::bench::instrumentedRun(exp.machine(), spec);
+            const pmu::Counts &c = run.counts;
 
-            const double model = kernel->expectedColdTrafficBytes();
+            const double model = run.m.expectedTrafficBytes;
             const double l2est =
                 64.0 * static_cast<double>(c.get(pmu::EventId::L2Misses));
             const double l3est =
                 64.0 * static_cast<double>(c.get(pmu::EventId::L3Misses));
             const double imc = c.trafficBytes(64);
-            t.addRow({kernel->name(), pf ? "on" : "off",
+            t.addRow({run.m.kernel, pf ? "on" : "off",
                       formatBytes(model), formatBytes(l2est),
                       formatBytes(l3est), formatBytes(imc),
                       formatSig(100.0 * relativeError(imc, model), 3)});

@@ -15,52 +15,8 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "kernels/registry.hh"
-#include "pmu/sim_backend.hh"
 #include "support/table.hh"
 #include "support/units.hh"
-
-namespace
-{
-
-struct Row
-{
-    rfl::roofline::Measurement m;
-    double l3MissBytes;
-};
-
-Row
-measureWithL3Misses(rfl::roofline::Experiment &exp,
-                    const std::string &spec, bool prefetch)
-{
-    using namespace rfl;
-    exp.machine().setPrefetchEnabled(prefetch);
-    // Instrument manually so we can also read the L3 demand-miss count.
-    const std::unique_ptr<kernels::Kernel> kernel =
-        kernels::createKernel(spec);
-    kernel->init(42);
-    exp.machine().reset();
-    exp.machine().flushAllCaches();
-    pmu::SimBackend backend(exp.machine());
-    backend.begin();
-    kernels::SimEngine e(exp.machine(), 0, 4, true);
-    kernel->run(e, 0, 1);
-    exp.machine().flushAllCaches({0});
-    const pmu::Counts counts = backend.end();
-
-    Row row;
-    row.m.kernel = kernel->name();
-    row.m.sizeLabel = kernel->sizeLabel();
-    row.m.protocol = prefetch ? "cold/pf-on" : "cold/pf-off";
-    row.m.flops = counts.flops();
-    row.m.trafficBytes = counts.trafficBytes(64);
-    row.m.seconds = counts.seconds();
-    row.l3MissBytes =
-        64.0 * static_cast<double>(counts.get(pmu::EventId::L3Misses));
-    return row;
-}
-
-} // namespace
 
 int
 main()
@@ -83,21 +39,27 @@ main()
     Table t({"kernel", "pf", "Q @IMC", "Q from L3 misses",
              "undercount %", "runtime", "P [GF/s]"});
     RooflinePlot plot("prefetch on/off, single core", model);
-    std::vector<Measurement> all;
 
     for (const std::string &spec : specs) {
         for (bool pf : {false, true}) {
-            const Row row = measureWithL3Misses(exp, spec, pf);
-            const double undercount =
-                100.0 * (1.0 - row.l3MissBytes / row.m.trafficBytes);
-            t.addRow({row.m.kernel, pf ? "on" : "off",
-                      formatBytes(row.m.trafficBytes),
-                      formatBytes(row.l3MissBytes),
-                      formatSig(undercount, 3),
-                      formatSeconds(row.m.seconds),
-                      formatSig(row.m.perf() / 1e9, 4)});
-            plot.addMeasurement(row.m);
-            all.push_back(row.m);
+            exp.machine().setPrefetchEnabled(pf);
+            const rfl::bench::KernelCounts run =
+                rfl::bench::instrumentedRun(exp.machine(), spec);
+            Measurement m = run.m;
+            m.protocol = pf ? "cold/pf-on" : "cold/pf-off";
+            // Q as core-side counting would infer it.
+            const double l3_miss_bytes =
+                64.0 *
+                static_cast<double>(run.counts.get(pmu::EventId::L3Misses));
+            t.addRow({m.kernel, pf ? "on" : "off",
+                      formatBytes(m.trafficBytes),
+                      formatBytes(l3_miss_bytes),
+                      formatSig(100.0 * (1.0 - l3_miss_bytes /
+                                                   m.trafficBytes),
+                                3),
+                      formatSeconds(m.seconds),
+                      formatSig(m.perf() / 1e9, 4)});
+            plot.addMeasurement(m);
         }
     }
     exp.machine().setPrefetchEnabled(true);
@@ -108,6 +70,6 @@ main()
         "prefetcher on, L3 demand-miss counting undercounts DRAM\n"
         "traffic; the IMC CAS counters capture demand + prefetch +\n"
         "writeback + NT traffic and stay accurate.\n\n");
-    exp.emit(plot, "fig_prefetch", all);
+    rfl::bench::emitPlot(plot, "fig_prefetch");
     return 0;
 }

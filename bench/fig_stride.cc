@@ -17,8 +17,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "kernels/registry.hh"
-#include "pmu/sim_backend.hh"
 #include "support/table.hh"
 #include "support/units.hh"
 
@@ -41,35 +39,19 @@ main()
     Table t({"stride [dbl]", "Q", "eff. BW [GB/s]", "P [Mflop/s]",
              "pf reads %", "TLB walks", "RC %"});
     RooflinePlot plot("strided-sum stride sweep, single core", model);
-    std::vector<Measurement> all;
 
-    for (size_t stride : rfl::bench::thin(strides)) {
+    for (size_t stride : strides) {
         const std::string spec = "strided-sum:n=" +
                                  std::to_string(touches) +
                                  ",stride=" + std::to_string(stride);
-        // Manual instrumentation: we also want prefetch share and TLB
-        // walks, which Measurement does not carry.
-        const std::unique_ptr<kernels::Kernel> kernel =
-            kernels::createKernel(spec);
-        kernel->init(42);
-        exp.machine().reset();
-        exp.machine().flushAllCaches();
-        pmu::SimBackend backend(exp.machine());
-        backend.begin();
-        kernels::SimEngine e(exp.machine(), 0, 4, true);
-        kernel->run(e, 0, 1);
-        exp.machine().flushAllCaches({0});
-        const pmu::Counts c = backend.end();
+        // The raw counters and machine stats also give the prefetch
+        // share and TLB walks, which Measurement does not carry.
+        const rfl::bench::KernelCounts run =
+            rfl::bench::instrumentedRun(exp.machine(), spec);
+        const pmu::Counts &c = run.counts;
+        const Measurement &m = run.m;
         const auto delta_walks = exp.machine().tlb(0).stats().walks;
 
-        Measurement m;
-        m.kernel = kernel->name();
-        m.sizeLabel = kernel->sizeLabel();
-        m.protocol = "cold";
-        m.flops = c.flops();
-        m.trafficBytes = c.trafficBytes(64);
-        m.seconds = c.seconds();
-        all.push_back(m);
         plot.addPoint("stride=" + std::to_string(stride), m.oi(),
                       m.perf());
 
@@ -91,6 +73,6 @@ main()
         "with it although intensity is constant from stride >= 8 — the\n"
         "latency wall the roofline cannot draw. Page strides add TLB\n"
         "walks on top.\n\n");
-    exp.emit(plot, "fig_stride", all);
+    rfl::bench::emitPlot(plot, "fig_stride");
     return 0;
 }

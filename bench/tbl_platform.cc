@@ -43,45 +43,49 @@ main()
         {"two sockets", allCores(machine)},
     };
 
-    Table compute({"scenario", "scalar", "scalar+FMA", "AVX", "AVX+FMA"});
-    for (const ScenarioDef &s : scenarios) {
-        PlatformProbe &probe = exp.probe();
-        compute.addRow(
-            {s.name,
-             formatFlopRate(probe.computePeak(s.cores, 1, false)),
-             formatFlopRate(probe.computePeak(s.cores, 1, true)),
-             formatFlopRate(probe.computePeak(s.cores, 4, false)),
-             formatFlopRate(probe.computePeak(s.cores, 4, true))});
-    }
-    std::printf("measured peak compute (FMA-chain benchmark):\n");
-    compute.print(std::cout);
-
-    Table bw({"scenario", "read", "copy", "scale", "triad", "nt-set"});
+    // Each scenario's ceiling parts are measured once; all three tables
+    // read these values.
+    const std::vector<CeilingPart> parts =
+        ceilingParts(machine.config().core);
+    std::vector<std::string> compute_header{"scenario"},
+        bw_header{"scenario"};
+    for (const CeilingPart &part : parts)
+        (part.compute ? compute_header : bw_header).push_back(part.name);
+    Table compute(compute_header);
+    Table bw(bw_header);
+    Table ridge({"scenario", "peak pi", "peak beta", "ridge [flop/B]"});
     CsvWriter csv(outputDirectory() + "/tbl_platform.csv",
                   {"scenario", "probe", "imc_bytes_per_sec",
                    "useful_bytes_per_sec"});
     for (const ScenarioDef &s : scenarios) {
-        std::vector<std::string> row{s.name};
-        for (BwProbe probe : allBwProbes()) {
+        std::vector<double> values;
+        std::vector<std::string> compute_row{s.name}, bw_row{s.name};
+        for (const CeilingPart &part : parts) {
+            if (part.compute) {
+                values.push_back(exp.probe().computePeak(
+                    s.cores, part.lanes, part.fma));
+                compute_row.push_back(formatFlopRate(values.back()));
+                continue;
+            }
             const BandwidthResult r =
-                exp.probe().bandwidthPeak(s.cores, probe);
-            row.push_back(formatByteRate(r.bytesPerSec));
-            csv.addRow({s.name, bwProbeName(probe),
+                exp.probe().bandwidthPeak(s.cores, part.probe);
+            values.push_back(r.bytesPerSec);
+            bw_row.push_back(formatByteRate(r.bytesPerSec));
+            csv.addRow({s.name, bwProbeName(part.probe),
                         formatSig(r.bytesPerSec, 8),
                         formatSig(r.usefulBytesPerSec, 8)});
         }
-        bw.addRow(row);
-    }
-    std::printf("\nmeasured peak DRAM bandwidth (IMC counters):\n");
-    bw.print(std::cout);
-
-    Table ridge({"scenario", "peak pi", "peak beta", "ridge [flop/B]"});
-    for (const ScenarioDef &s : scenarios) {
-        const RooflineModel &model = exp.modelFor(s.cores);
+        compute.addRow(compute_row);
+        bw.addRow(bw_row);
+        const RooflineModel model = assembleCeilings(parts, values);
         ridge.addRow({s.name, formatFlopRate(model.peakCompute()),
                       formatByteRate(model.peakBandwidth()),
                       formatSig(model.ridgePoint(), 3)});
     }
+    std::printf("measured peak compute (FMA-chain benchmark):\n");
+    compute.print(std::cout);
+    std::printf("\nmeasured peak DRAM bandwidth (IMC counters):\n");
+    bw.print(std::cout);
     std::printf("\nroofline summary:\n");
     ridge.print(std::cout);
     std::printf("\nwrote %s/tbl_platform.csv\n",

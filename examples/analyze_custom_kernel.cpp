@@ -21,6 +21,7 @@
 
 #include "kernels/kernel.hh"
 #include "roofline/experiment.hh"
+#include "roofline/plot.hh"
 #include "support/aligned_buffer.hh"
 #include "support/units.hh"
 

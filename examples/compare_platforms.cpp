@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "roofline/experiment.hh"
+#include "roofline/plot.hh"
 #include "support/table.hh"
 #include "support/units.hh"
 

@@ -17,6 +17,8 @@
 #include "kernels/daxpy.hh"
 #include "kernels/dgemm.hh"
 #include "roofline/experiment.hh"
+#include "roofline/plot.hh"
+#include "support/cli.hh"
 #include "support/units.hh"
 
 int
@@ -55,7 +57,11 @@ main()
     plot.addMeasurement(m1);
     plot.addMeasurement(m2);
 
-    exp.emit(plot, "quickstart", {m1, m2});
+    std::cout << plot.renderAscii() << "\n";
+    plot.pointTable().print(std::cout);
+    std::cout << "\nwrote "
+              << plot.writeGnuplot(outputDirectory(), "quickstart")
+              << "\n";
 
     std::cout << "daxpy measured W = " << formatFlops(m1.flops)
               << " (expected " << formatFlops(m1.expectedFlops) << ")\n";

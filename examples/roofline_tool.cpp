@@ -21,6 +21,7 @@
 
 #include "kernels/registry.hh"
 #include "roofline/experiment.hh"
+#include "roofline/plot.hh"
 #include "roofline/native_measurement.hh"
 #include "sim/config_io.hh"
 #include "support/cli.hh"

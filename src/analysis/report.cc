@@ -35,26 +35,6 @@ slug(const std::string &label)
     return out;
 }
 
-/** One scenario's rebuilt plot + phase overlays (built exactly once
- *  per emission; ASCII and SVG render from the same instance). */
-struct ScenarioPlotSet
-{
-    roofline::RooflinePlot plot;
-    std::vector<PhasePath> phases;
-};
-
-std::vector<ScenarioPlotSet>
-buildScenarioPlots(const CampaignAnalysis &doc)
-{
-    std::vector<ScenarioPlotSet> sets;
-    for (const Scenario &s : doc.scenarios) {
-        std::vector<PhasePath> phases;
-        roofline::RooflinePlot plot = scenarioPlot(doc, s, &phases);
-        sets.push_back({std::move(plot), std::move(phases)});
-    }
-    return sets;
-}
-
 std::string
 oiText(double oi)
 {
@@ -170,9 +150,7 @@ namespace
  *  disk writer and the service's in-RAM store both consume, so the
  *  bytes cannot diverge between the two paths. */
 ReportArtifacts
-renderFromPlots(const CampaignAnalysis &doc,
-                const std::vector<ScenarioPlotSet> &plots,
-                const std::string &name)
+render(const CampaignAnalysis &doc, const std::string &name)
 {
     ReportArtifacts artifacts;
     // Matches writeAnalysisJson's framing (trailing newline).
@@ -207,8 +185,8 @@ renderFromPlots(const CampaignAnalysis &doc,
 
     for (size_t si = 0; si < doc.scenarios.size(); ++si) {
         const Scenario &s = doc.scenarios[si];
-        const roofline::RooflinePlot &plot = plots[si].plot;
-        const std::vector<PhasePath> &phases = plots[si].phases;
+        std::vector<PhasePath> phases;
+        const roofline::RooflinePlot plot = scenarioPlot(doc, s, &phases);
         const std::string stem =
             name + "_" + slug(s.machine) + "_" + slug(s.variant);
         artifacts.svgs.emplace_back(stem + ".svg",
@@ -243,22 +221,6 @@ writeArtifact(const std::string &dir, const std::string &file,
     return path;
 }
 
-ReportPaths
-writeReportFromPlots(const CampaignAnalysis &doc,
-                     const std::vector<ScenarioPlotSet> &plots,
-                     const std::string &dir, const std::string &name)
-{
-    ensureDirectory(dir);
-    const ReportArtifacts artifacts =
-        renderFromPlots(doc, plots, name);
-    ReportPaths paths;
-    paths.json = writeArtifact(dir, name + ".json", artifacts.json);
-    for (const auto &[file, content] : artifacts.svgs)
-        paths.svgs.push_back(writeArtifact(dir, file, content));
-    paths.html = writeArtifact(dir, name + ".html", artifacts.html);
-    return paths;
-}
-
 } // namespace
 
 ReportArtifacts
@@ -267,7 +229,7 @@ renderAnalysisReport(const CampaignAnalysis &doc,
 {
     telemetry::Span span("analysis-render");
     span.attr("campaign", name);
-    return renderFromPlots(doc, buildScenarioPlots(doc), name);
+    return render(doc, name);
 }
 
 ReportPaths
@@ -280,28 +242,13 @@ writeAnalysisReport(const CampaignAnalysis &doc, const std::string &dir,
         .counter("rfl_analysis_reports_total",
                  "analysis report bundles written to disk")
         .inc();
-    return writeReportFromPlots(doc, buildScenarioPlots(doc), dir,
-                                name);
-}
-
-ReportPaths
-emitAnalysis(const CampaignAnalysis &doc, const std::string &dir,
-             const std::string &name, std::ostream &os)
-{
-    // Build each scenario's plot once; ASCII and the artifact set
-    // render from the same instances (duplicate building also meant
-    // duplicate skipped-point warnings).
-    const std::vector<ScenarioPlotSet> plots = buildScenarioPlots(doc);
-    for (const ScenarioPlotSet &set : plots)
-        os << set.plot.renderAscii() << "\n";
-    if (!doc.kernels.empty()) {
-        analysisTable(doc).print(os);
-        os << "\n";
-    }
-    const ReportPaths paths =
-        writeReportFromPlots(doc, plots, dir, name);
-    os << "wrote " << paths.html << ", " << paths.json << " (+ "
-       << paths.svgs.size() << " SVG roofline(s))\n";
+    ensureDirectory(dir);
+    const ReportArtifacts artifacts = render(doc, name);
+    ReportPaths paths;
+    paths.json = writeArtifact(dir, name + ".json", artifacts.json);
+    for (const auto &[file, content] : artifacts.svgs)
+        paths.svgs.push_back(writeArtifact(dir, file, content));
+    paths.html = writeArtifact(dir, name + ".html", artifacts.html);
     return paths;
 }
 

@@ -11,16 +11,12 @@
  *   - <name>.json                     the machine-readable document
  *     (analysis.hh, schema v4) the regression gate consumes.
  *
- * emitAnalysis() additionally prints the terminal rendering (ASCII
- * roofline per scenario + the derived-metrics table) the way bench
- * binaries traditionally present figures, so one call replaces the
- * per-figure table/plot boilerplate.
+ * renderAnalysisReport() builds the same set in memory for the service.
  */
 
 #ifndef RFL_ANALYSIS_REPORT_HH
 #define RFL_ANALYSIS_REPORT_HH
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -71,15 +67,6 @@ ReportArtifacts renderAnalysisReport(const CampaignAnalysis &doc,
 ReportPaths writeAnalysisReport(const CampaignAnalysis &doc,
                                 const std::string &dir,
                                 const std::string &name);
-
-/**
- * Print ASCII rooflines + the derived-metrics table to @p os and write
- * the artifact set under @p dir. The standard ending of a figure
- * binary.
- */
-ReportPaths emitAnalysis(const CampaignAnalysis &doc,
-                         const std::string &dir,
-                         const std::string &name, std::ostream &os);
 
 } // namespace rfl::analysis
 

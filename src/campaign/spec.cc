@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -347,8 +348,18 @@ CampaignSpec::stableHash() const
     return h.value();
 }
 
+namespace
+{
+
+/**
+ * The parser behind parseCampaignSpec and loadCampaignSpec. @p specDir
+ * is the directory of the spec file that `machine = @file` resolves
+ * against; nullptr means the text came from no file (a submitted body,
+ * an embedded demo), and then `@file` is rejected before any path is
+ * touched.
+ */
 CampaignSpec
-parseCampaignSpec(const std::string &text)
+parseSpecText(const std::string &text, const std::string *specDir)
 {
     CampaignSpec spec;
     std::istringstream in(text);
@@ -388,8 +399,14 @@ parseCampaignSpec(const std::string &text)
                 spec.addMachine(sim::MachineConfig::smallTestMachine());
             else if (value == "scalar")
                 spec.addMachine(sim::MachineConfig::scalarMachine());
+            else if (value[0] == '@' && specDir == nullptr)
+                fatal("campaign line %d: machine = @file is accepted only "
+                      "in a campaign file",
+                      lineno);
             else if (value[0] == '@')
-                spec.addMachine(sim::loadMachineConfig(value.substr(1)));
+                spec.addMachine(sim::loadMachineConfig(
+                    (std::filesystem::path(*specDir) / value.substr(1))
+                        .string()));
             else
                 fatal("campaign line %d: machine expects "
                       "default|small|scalar or @file, got '%s'",
@@ -467,6 +484,14 @@ parseCampaignSpec(const std::string &text)
     return named;
 }
 
+} // namespace
+
+CampaignSpec
+parseCampaignSpec(const std::string &text)
+{
+    return parseSpecText(text, nullptr);
+}
+
 CampaignSpec
 loadCampaignSpec(const std::string &path)
 {
@@ -475,7 +500,9 @@ loadCampaignSpec(const std::string &path)
         fatal("cannot open campaign file '%s'", path.c_str());
     std::ostringstream text;
     text << in.rdbuf();
-    return parseCampaignSpec(text.str());
+    const std::string dir =
+        std::filesystem::path(path).parent_path().string();
+    return parseSpecText(text.str(), &dir);
 }
 
 std::vector<int>

@@ -24,6 +24,11 @@
  *   backend = sim                     # measurement plane(s); repeatable
  *   backend = perf                    # adds hardware rows via perf_event
  *
+ * `machine = @file` names a machine-config file relative to the
+ * campaign file's own directory. Only loadCampaignSpec() resolves it;
+ * parseCampaignSpec() rejects it without touching the path, so text a
+ * client submits can never make the service read a server file.
+ *
  * A *backend* entry selects a measurement plane. The default (`sim`)
  * runs every kernel x variant on the simulated machines. Adding `perf`
  * appends one NativeMeasure job per (machine, kernel, variant) that
@@ -194,10 +199,12 @@ class CampaignSpec
     double timeoutSeconds_ = 0.0;
 };
 
-/** Parse the text format (see file comment); fatal() on errors. */
+/** Parse the text format (see file comment); fatal() on errors,
+ *  including any `machine = @file` line. */
 CampaignSpec parseCampaignSpec(const std::string &text);
 
-/** Load and parse a campaign file; fatal() on errors. */
+/** Load and parse a campaign file, resolving `machine = @file`
+ *  against the file's directory; fatal() on errors. */
 CampaignSpec loadCampaignSpec(const std::string &path);
 
 /**

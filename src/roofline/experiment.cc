@@ -1,13 +1,7 @@
 #include "roofline/experiment.hh"
 
-#include <iostream>
-
 #include "kernels/registry.hh"
 #include "support/address_arena.hh"
-#include "support/cli.hh"
-#include "support/csv.hh"
-#include "support/logging.hh"
-#include "support/units.hh"
 
 namespace rfl::roofline
 {
@@ -44,72 +38,6 @@ Experiment::measureSpec(const std::string &spec,
     const std::unique_ptr<kernels::Kernel> kernel =
         kernels::createKernel(spec);
     return measurer_->measure(*kernel, opts);
-}
-
-std::vector<Measurement>
-Experiment::sweep(
-    const std::vector<size_t> &sizes,
-    const std::function<std::unique_ptr<kernels::Kernel>(size_t)> &factory,
-    const MeasureOptions &opts)
-{
-    std::vector<Measurement> out;
-    out.reserve(sizes.size());
-    for (size_t size : sizes) {
-        // Fresh canonical address space per size (see measureSpec).
-        AddressArena::Scope addresses;
-        const std::unique_ptr<kernels::Kernel> kernel = factory(size);
-        out.push_back(measurer_->measure(*kernel, opts));
-    }
-    return out;
-}
-
-void
-Experiment::emit(const RooflinePlot &plot, const std::string &name,
-                 const std::vector<Measurement> &measurements) const
-{
-    std::cout << plot.renderAscii() << "\n";
-    plot.pointTable().print(std::cout);
-    std::cout << "\n";
-
-    const std::string dir = outputDirectory();
-    const std::string gp = plot.writeGnuplot(dir, name);
-    if (!measurements.empty())
-        writeMeasurementsCsv(measurements, dir, name);
-    inform("wrote %s (and %s/%s.dat)", gp.c_str(), dir.c_str(),
-           name.c_str());
-}
-
-void
-writeMeasurementsCsv(const std::vector<Measurement> &ms,
-                     const std::string &dir, const std::string &name)
-{
-    CsvWriter csv(dir + "/" + name + ".csv",
-                  {"kernel", "size", "protocol", "cores", "lanes",
-                   "flops", "traffic_bytes", "seconds", "oi",
-                   "flops_per_sec", "expected_flops",
-                   "expected_traffic_bytes", "work_err", "traffic_err"});
-    for (const Measurement &m : ms) {
-        csv.addRow({m.kernel, m.sizeLabel, m.protocol,
-                    std::to_string(m.cores), std::to_string(m.lanes),
-                    formatSig(m.flops, 12),
-                    formatSig(m.trafficBytes, 12),
-                    formatSig(m.seconds, 12), formatSig(m.oi(), 8),
-                    formatSig(m.perf(), 8),
-                    formatSig(m.expectedFlops, 12),
-                    formatSig(m.expectedTrafficBytes, 12),
-                    formatSig(m.workError(), 6),
-                    formatSig(m.trafficError(), 6)});
-    }
-}
-
-std::vector<size_t>
-pow2Sizes(size_t lo, size_t hi)
-{
-    RFL_ASSERT(lo > 0 && lo <= hi);
-    std::vector<size_t> sizes;
-    for (size_t s = lo; s <= hi; s *= 2)
-        sizes.push_back(s);
-    return sizes;
 }
 
 } // namespace rfl::roofline

@@ -1,27 +1,25 @@
 /**
  * @file
- * Experiment driver: the glue used by every bench binary.
+ * Experiment: one simulated machine with its ceiling probe and
+ * measurer.
  *
- * An Experiment bundles a machine, its measured ceilings per scenario,
- * and helpers to sweep kernels and emit the standard artifact set
- * (ASCII plot + point table on stdout, .csv/.dat/.gp under the output
- * directory).
+ * The campaign executor measures every kernel job through one
+ * (measureSpec); examples and the bench programs that read counters a
+ * campaign row does not carry use it directly. Ceilings are
+ * characterized once per core set and cached in the instance.
  */
 
 #ifndef RFL_ROOFLINE_EXPERIMENT_HH
 #define RFL_ROOFLINE_EXPERIMENT_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "kernels/kernel.hh"
 #include "roofline/measurement.hh"
 #include "roofline/model.hh"
 #include "roofline/platform.hh"
-#include "roofline/plot.hh"
 #include "sim/machine.hh"
 
 namespace rfl::roofline
@@ -57,20 +55,6 @@ class Experiment
     Measurement measureSpec(const std::string &spec,
                             const MeasureOptions &opts = {});
 
-    /**
-     * Sweep: measure each kernel produced by @p factory for each value
-     * in @p sizes.
-     */
-    std::vector<Measurement>
-    sweep(const std::vector<size_t> &sizes,
-          const std::function<std::unique_ptr<kernels::Kernel>(size_t)>
-              &factory,
-          const MeasureOptions &opts = {});
-
-    /** Print plot + table to stdout and write csv/dat/gp artifacts. */
-    void emit(const RooflinePlot &plot, const std::string &name,
-              const std::vector<Measurement> &measurements = {}) const;
-
   private:
     struct CachedModel
     {
@@ -89,14 +73,6 @@ class Experiment
      */
     std::deque<CachedModel> models_;
 };
-
-/** Write a measurement list as CSV under @p dir/@p name.csv. */
-void writeMeasurementsCsv(const std::vector<Measurement> &ms,
-                          const std::string &dir,
-                          const std::string &name);
-
-/** Standard power-of-two size sweep [lo, hi]. */
-std::vector<size_t> pow2Sizes(size_t lo, size_t hi);
 
 } // namespace rfl::roofline
 

@@ -82,9 +82,10 @@ class Cli
 std::string outputDirectory();
 
 /**
- * @return true when the reproduction should run in reduced-size mode
- * ($RFL_FAST set to anything but "0"). Bench binaries shrink sweeps so the
- * full suite completes quickly.
+ * @return true when a throughput benchmark should run in reduced-size
+ * mode ($RFL_FAST set to anything but "0"): sim_throughput and
+ * service_throughput shrink their sizes and windows for CI. The paper's
+ * figures always run at full size.
  */
 bool fastMode();
 

@@ -228,16 +228,6 @@ TEST(AnalysisReport, WritesFullArtifactSet)
     EXPECT_EQ(loaded.kernels.size(), doc.kernels.size());
 }
 
-TEST(AnalysisReport, EmitPrintsAsciiAndTable)
-{
-    std::ostringstream os;
-    emitAnalysis(sampleDoc(), outDir(), "sample_emit", os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("roof '='"), std::string::npos); // ASCII plot
-    EXPECT_NE(text.find("binding ceiling"), std::string::npos);
-    EXPECT_NE(text.find("wrote "), std::string::npos);
-}
-
 TEST(AnalysisSvg, SkipsUnplottablePoints)
 {
     roofline::RooflineModel model;

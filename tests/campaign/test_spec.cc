@@ -1,5 +1,8 @@
 /** @file Tests for CampaignSpec building, parsing and validation. */
 
+#include <filesystem>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "campaign/spec.hh"
@@ -241,6 +244,44 @@ TEST(CampaignSpec, FatalThrowsModeTurnsParseErrorsIntoExceptions)
                   std::string::npos);
     }
     rfl::setFatalThrows(prev);
+}
+
+TEST(CampaignSpec, MachineFileResolvesAgainstTheSpecFileDirectory)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "rfl_spec_at_file";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir / "box.cfg") << "name = box\nl3.repl = fifo\n";
+    std::ofstream(dir / "grid.txt")
+        << "name = grid\nmachine = @box.cfg\nkernel = sum:n=256\n"
+           "variant = v: cores=0\n";
+
+    // Loaded from elsewhere: the path is the spec's, not the cwd's.
+    const CampaignSpec spec = loadCampaignSpec((dir / "grid.txt").string());
+    ASSERT_EQ(spec.machines().size(), 1u);
+    EXPECT_EQ(spec.machines()[0].label, "box");
+    EXPECT_EQ(spec.machines()[0].config.l3.repl, rfl::sim::ReplPolicy::FIFO);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignSpecDeath, SpecTextCannotNameAMachineFile)
+{
+    // Submitted text must not make the parser open a path: an existing
+    // file, a file of another format and a missing one all get the
+    // same answer, so the error is no oracle for the file system.
+    const std::filesystem::path cfg =
+        std::filesystem::path(::testing::TempDir()) / "rfl_spec_at.cfg";
+    std::ofstream(cfg) << "PRETTY_NAME = not a machine\n";
+    for (const std::string &target :
+         {cfg.string(), std::string("/no/such/machine.cfg")}) {
+        EXPECT_EXIT(parseCampaignSpec("machine = @" + target +
+                                      "\nkernel = sum:n=256\n"
+                                      "variant = v: cores=0\n"),
+                    ::testing::ExitedWithCode(1),
+                    "machine = @file is accepted only in a campaign file")
+            << target;
+    }
+    std::filesystem::remove(cfg);
 }
 
 TEST(CampaignSpecDeath, InvalidSpecs)

@@ -1,11 +1,7 @@
-/** @file Tests for the Experiment driver and output helpers. */
-
-#include <filesystem>
-#include <fstream>
+/** @file Tests for the Experiment driver. */
 
 #include <gtest/gtest.h>
 
-#include "kernels/daxpy.hh"
 #include "roofline/experiment.hh"
 
 namespace
@@ -35,25 +31,6 @@ TEST(Experiment, MeasureSpecParsesAndMeasures)
     EXPECT_DOUBLE_EQ(m.flops, 2.0 * 8192);
 }
 
-TEST(Experiment, SweepProducesOneMeasurementPerSize)
-{
-    Experiment exp;
-    MeasureOptions opts;
-    opts.repetitions = 1;
-    const std::vector<size_t> sizes = {1024, 2048, 4096};
-    const std::vector<Measurement> ms = exp.sweep(
-        sizes,
-        [](size_t n) -> std::unique_ptr<kernels::Kernel> {
-            return std::make_unique<kernels::Daxpy>(n);
-        },
-        opts);
-    ASSERT_EQ(ms.size(), 3u);
-    for (size_t i = 0; i < sizes.size(); ++i) {
-        EXPECT_DOUBLE_EQ(ms[i].flops,
-                         2.0 * static_cast<double>(sizes[i]));
-    }
-}
-
 TEST(Experiment, CustomMachineConfigHonored)
 {
     Experiment exp(sim::MachineConfig::scalarMachine());
@@ -61,36 +38,6 @@ TEST(Experiment, CustomMachineConfigHonored)
     const RooflineModel &model = exp.modelFor({0});
     // No SIMD, no FMA: peak is fpUnits * freq = 5 Gflop/s.
     EXPECT_NEAR(model.peakCompute(), 5e9, 0.1e9);
-}
-
-TEST(Experiment, MeasurementCsvRoundTrip)
-{
-    const std::string dir = "/tmp/rfl_exp_test";
-    std::filesystem::remove_all(dir);
-    Measurement m;
-    m.kernel = "k";
-    m.sizeLabel = "n=1";
-    m.protocol = "cold";
-    m.flops = 100;
-    m.trafficBytes = 800;
-    m.seconds = 1e-6;
-    writeMeasurementsCsv({m}, dir, "t");
-    std::ifstream in(dir + "/t.csv");
-    ASSERT_TRUE(in.good());
-    std::string header, row;
-    std::getline(in, header);
-    std::getline(in, row);
-    EXPECT_NE(header.find("traffic_bytes"), std::string::npos);
-    EXPECT_NE(row.find("k,"), std::string::npos);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Experiment, Pow2Sizes)
-{
-    const std::vector<size_t> s = pow2Sizes(8, 64);
-    ASSERT_EQ(s.size(), 4u);
-    EXPECT_EQ(s.front(), 8u);
-    EXPECT_EQ(s.back(), 64u);
 }
 
 TEST(ExperimentDeath, BadSpecIsFatal)

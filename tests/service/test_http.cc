@@ -241,6 +241,32 @@ TEST_F(HttpServiceTest, HostileKernelSpecsAnswer400AndServerSurvives)
     EXPECT_NE(resp.body.find("\"status\":\"ok\""), std::string::npos);
 }
 
+TEST_F(HttpServiceTest, MachineFileInSubmittedSpecAnswers400AndServerSurvives)
+{
+    // A submitted spec naming a server file is refused before the path
+    // is opened: a readable file, a missing one and a special file all
+    // get the same 400.
+    HttpClient client("127.0.0.1", server_->port());
+    ClientResponse resp;
+    for (const char *path :
+         {"/etc/os-release", "/no/such/machine.cfg", "/dev/zero"}) {
+        const std::string spec = std::string("machine = @") + path +
+                                 "\nkernel = sum:n=256\n"
+                                 "variant = v: cores=0\n";
+        ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, spec))
+            << path;
+        EXPECT_EQ(resp.status, 400) << path << ": " << resp.body;
+        EXPECT_NE(jsonField(resp.body, "error").find(
+                      "machine = @file is accepted only in a campaign file"),
+                  std::string::npos)
+            << path << ": " << resp.body;
+    }
+
+    HttpClient probe("127.0.0.1", server_->port());
+    ASSERT_TRUE(probe.request("GET", "/healthz", &resp));
+    EXPECT_EQ(resp.status, 200);
+}
+
 TEST_F(HttpServiceTest, ArtifactEndpointsByteMatchOfflineCli)
 {
     HttpClient client("127.0.0.1", server_->port());

@@ -11,6 +11,8 @@
 #     the next fetch succeeds;
 #   * dropped/garbled connections (http.accept / http.recv faults)
 #     never crash or wedge the daemon;
+#   * a hostile body naming a server file (machine = @/etc/...) gets
+#     a 400 without the file being read;
 #   * dedup still holds, /metricsz exposes rfl_failpoint_* and
 #     rfl_retry_* families, and SIGTERM still exits 0.
 # Run by CI in both the Release and ASan/UBSan jobs:
@@ -156,6 +158,28 @@ python3 tools/check_bench_schema.py "$WORK/analysis.json"
 # Dedup must hold under chaos: resubmitting B joins the done ticket.
 req -X POST --data-binary @"$WORK/spec_b" "$BASE/v1/campaigns" |
     grep -q '"deduplicated":true'
+
+# Hostile body: a submitted spec naming a server file is refused with
+# a 400 before the path is opened (the same answer for a readable file
+# and a special one), and the daemon stays up.
+for target in /etc/os-release /dev/zero; do
+    printf 'machine = @%s\nkernel = sum:n=256\nvariant = v: cores=0\n' \
+        "$target" > "$WORK/spec_file"
+    CODE=000
+    for _ in $(seq 1 30); do
+        CODE=$(curl -s --max-time 10 -o "$WORK/hostile.json" \
+            -w '%{http_code}' -X POST --data-binary @"$WORK/spec_file" \
+            "$BASE/v1/campaigns" || true)
+        [ "$CODE" != 000 ] && break
+        sleep 0.05
+    done
+    [ "$CODE" = 400 ] || { echo "FAIL: machine = @$target gave $CODE," \
+        "want 400"; exit 1; }
+    grep -q 'accepted only in a campaign file' "$WORK/hostile.json" || {
+        echo "FAIL: machine = @$target: wrong error"; \
+        cat "$WORK/hostile.json"; exit 1; }
+done
+req "$BASE/healthz" | grep -q '"status":"ok"'
 
 # Connection churn: hammer endpoints through the lossy accept/recv
 # path. Individual requests may die; the daemon must not.
