@@ -52,6 +52,7 @@
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
+#include "support/units.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 #include "telemetry/sim_counters.hh"
@@ -211,7 +212,10 @@ main(int argc, char **argv)
         svg_out << telemetry::renderFlamegraphSvg(
             profile.stacks, "roofline_campaign " + spec.name());
         std::cout << "profile: " << profile.samples << " samples ("
-                  << profile.dropped << " dropped) -> " << json_path
+                  << profile.dropped << " dropped) over "
+                  << formatSig(profile.cpuSeconds, 3) << " s cpu, "
+                  << formatSig(profile.effectiveHz(), 3) << "/s of "
+                  << profile.hz << " Hz requested -> " << json_path
                   << ", " << svg_path << "\n";
     }
     cp::emitCampaign(run, out, std::cout);

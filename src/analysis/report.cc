@@ -120,9 +120,12 @@ scenarioPlot(const CampaignAnalysis &doc, const Scenario &scenario,
             r.variant != scenario.variant)
             continue;
         // Unavailable hardware placeholders (perf_event denied) carry
-        // no point; skipping here keeps addPoint's zero-value warning
-        // for rows that should have plotted but didn't.
-        if (!r.available)
+        // no point. Unplottable rows (I=inf) are left off quietly: the
+        // campaign executor warns about each once per run, and this
+        // plot is rebuilt by every sink and service render.
+        if (!r.available ||
+            !roofline::RooflinePlot::plottable(r.metrics.oi,
+                                               r.metrics.perf))
             continue;
         const bool hw = r.backend == "perf";
         plot.addPoint(hw ? r.label() + " [hw]" : r.label(),

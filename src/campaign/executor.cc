@@ -17,6 +17,7 @@
 #include "pmu/perf_backend.hh"
 #include "roofline/experiment.hh"
 #include "roofline/native_measurement.hh"
+#include "roofline/plot.hh"
 #include "support/address_arena.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
@@ -526,6 +527,30 @@ executeJob(const CampaignSpec &spec, const Job &job,
     return result;
 }
 
+/**
+ * Warn once about every measurement no roofline plot can show (I=inf,
+ * e.g. a warm LLC-resident row with no memory traffic). Every sink
+ * that plots the run leaves these points off quietly, so a run that
+ * feeds several sinks still reports each point once.
+ */
+void
+warnUnplottablePoints(const CampaignRun &run)
+{
+    for (const Job &job : run.jobs) {
+        const roofline::Measurement &m = run.results[job.id].measurement;
+        if (!yieldsMeasurement(job.kind) || !m.available ||
+            roofline::RooflinePlot::plottable(m.oi(), m.perf()))
+            continue;
+        warn("campaign '%s': point '%s%s' (%s, %s) has I=%g P=%g; it is "
+             "left off the roofline plots",
+             run.spec.name().c_str(), m.label().c_str(),
+             job.kind == JobKind::NativeMeasure ? " [hw]" : "",
+             run.spec.machines()[job.machineIndex].label.c_str(),
+             run.spec.variants()[job.variantIndex].label.c_str(), m.oi(),
+             m.perf());
+    }
+}
+
 } // namespace
 
 const roofline::Measurement &
@@ -806,6 +831,7 @@ CampaignExecutor::run(const CampaignSpec &spec,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
+    warnUnplottablePoints(run);
     return run;
 }
 

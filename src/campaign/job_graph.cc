@@ -46,6 +46,13 @@ jobKindName(JobKind kind)
     return "?";
 }
 
+bool
+yieldsMeasurement(JobKind kind)
+{
+    return kind == JobKind::Measure || kind == JobKind::TraceReplay ||
+           kind == JobKind::NativeMeasure;
+}
+
 std::string
 Job::describe(const CampaignSpec &spec) const
 {

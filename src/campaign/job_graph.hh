@@ -64,6 +64,10 @@ enum class JobKind
  *  "phase" or "native-measure". */
 const char *jobKindName(JobKind kind);
 
+/** Whether a job of @p kind yields a Measurement row: Measure,
+ *  TraceReplay and NativeMeasure. */
+bool yieldsMeasurement(JobKind kind);
+
 /** One schedulable unit. */
 struct Job
 {

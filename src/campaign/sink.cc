@@ -27,9 +27,7 @@ writeCampaignCsv(const CampaignRun &run, const std::string &dir,
     // table with backend=perf; unavailable placeholders are skipped —
     // a CSV of zeros is worse than an absent row the report names.
     for (const Job &job : run.jobs) {
-        if (job.kind != JobKind::Measure &&
-            job.kind != JobKind::TraceReplay &&
-            job.kind != JobKind::NativeMeasure)
+        if (!yieldsMeasurement(job.kind))
             continue;
         const roofline::Measurement &m = run.results[job.id].measurement;
         if (!m.available)
@@ -63,20 +61,18 @@ scenarioPlot(const CampaignRun &run, size_t machineIdx, size_t variantIdx,
     roofline::RooflinePlot plot(t, run.modelFor(machineIdx, variantIdx));
     for (const Job &job : run.jobs) {
         if (job.machineIndex != machineIdx ||
-            job.variantIndex != variantIdx)
+            job.variantIndex != variantIdx ||
+            !yieldsMeasurement(job.kind))
             continue;
-        if (job.kind == JobKind::Measure ||
-            job.kind == JobKind::TraceReplay) {
-            plot.addMeasurement(run.results[job.id].measurement);
-        } else if (job.kind == JobKind::NativeMeasure) {
-            const roofline::Measurement &m =
-                run.results[job.id].measurement;
-            if (!m.available)
-                continue;
-            plot.addPoint(m.kernel + " " + m.sizeLabel + " (" +
-                              m.protocol + ") [hw]",
-                          m.oi(), m.perf(), /*hardware=*/true);
-        }
+        const roofline::Measurement &m = run.results[job.id].measurement;
+        // The executor already warned about unplottable points, once
+        // per campaign (warnUnplottablePoints).
+        if (!m.available ||
+            !roofline::RooflinePlot::plottable(m.oi(), m.perf()))
+            continue;
+        const bool hw = job.kind == JobKind::NativeMeasure;
+        plot.addPoint(hw ? m.label() + " [hw]" : m.label(), m.oi(),
+                      m.perf(), hw);
     }
     return plot;
 }
@@ -87,9 +83,7 @@ summaryTable(const CampaignRun &run)
     Table t({"machine", "variant", "kernel", "size", "backend",
              "W [flops]", "Q [bytes]", "T [s]", "I [f/B]", "P [GF/s]"});
     for (const Job &job : run.jobs) {
-        if (job.kind != JobKind::Measure &&
-            job.kind != JobKind::TraceReplay &&
-            job.kind != JobKind::NativeMeasure)
+        if (!yieldsMeasurement(job.kind))
             continue;
         const roofline::Measurement &m = run.results[job.id].measurement;
         if (!m.available) {

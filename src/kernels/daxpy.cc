@@ -5,7 +5,8 @@
 namespace rfl::kernels
 {
 
-Daxpy::Daxpy(size_t n) : n_(n), x_(n), y_(n)
+Daxpy::Daxpy(size_t n)
+    : n_(n), x_(n, uninitialized), y_(n, uninitialized)
 {
     RFL_ASSERT(n > 0);
 }

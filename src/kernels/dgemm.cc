@@ -8,7 +8,9 @@
 namespace rfl::kernels
 {
 
-DgemmBase::DgemmBase(size_t n) : n_(n), a_(n * n), b_(n * n), c_(n * n)
+DgemmBase::DgemmBase(size_t n)
+    : n_(n), a_(n * n, uninitialized), b_(n * n, uninitialized),
+      c_(n * n, uninitialized)
 {
     RFL_ASSERT(n > 0);
 }

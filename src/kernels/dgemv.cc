@@ -5,7 +5,9 @@
 namespace rfl::kernels
 {
 
-Dgemv::Dgemv(size_t m, size_t n) : m_(m), n_(n), a_(m * n), x_(n), y_(m)
+Dgemv::Dgemv(size_t m, size_t n)
+    : m_(m), n_(n), a_(m * n, uninitialized), x_(n, uninitialized),
+      y_(m, uninitialized)
 {
     RFL_ASSERT(m > 0 && n > 0);
 }

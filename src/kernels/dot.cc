@@ -5,7 +5,8 @@
 namespace rfl::kernels
 {
 
-Dot::Dot(size_t n) : n_(n), x_(n), y_(n)
+Dot::Dot(size_t n)
+    : n_(n), x_(n, uninitialized), y_(n, uninitialized)
 {
     RFL_ASSERT(n > 0);
 }

@@ -425,6 +425,31 @@ class SimEngine : public EngineOps<SimEngine>,
      */
     void emitBatch(const trace::AccessBatch &b);
 
+    /**
+     * One memory uop of @p bytes at simulated address @p addr, with no
+     * host access and no translation: the same record a vload/vstore/
+     * vstoreNT of a host pointer that translates to @p addr produces.
+     * For address streams with no host data behind them (the
+     * bandwidth probes over AddressArena::reserveRegion()).
+     */
+    void
+    loadAt(uint64_t addr, uint32_t bytes)
+    {
+        emitMem(trace::AccessKind::Load, addr, bytes);
+    }
+
+    void
+    storeAt(uint64_t addr, uint32_t bytes)
+    {
+        emitMem(trace::AccessKind::Store, addr, bytes);
+    }
+
+    void
+    storeNTAt(uint64_t addr, uint32_t bytes)
+    {
+        emitMem(trace::AccessKind::StoreNT, addr, bytes);
+    }
+
   private:
     friend EngineOps;
 

@@ -19,8 +19,8 @@ isPow2(size_t v)
 } // namespace
 
 Fft::Fft(size_t n)
-    : n_(n), log2n_(std::log2(static_cast<double>(n))), data_(2 * n),
-      twiddle_(n)
+    : n_(n), log2n_(std::log2(static_cast<double>(n))), data_(2 * n, uninitialized),
+      twiddle_(n, uninitialized)
 {
     if (!isPow2(n) || n < 4)
         fatal("Fft: n must be a power of two >= 4 (got %zu)", n);

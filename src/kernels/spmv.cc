@@ -8,8 +8,11 @@ namespace rfl::kernels
 {
 
 SpmvCsr::SpmvCsr(size_t rows, size_t nnz_per_row)
-    : rows_(rows), nnzPerRow_(nnz_per_row), vals_(rows * nnz_per_row),
-      cols_(rows * nnz_per_row), rowptr_(rows + 1), x_(rows), y_(rows)
+    : rows_(rows), nnzPerRow_(nnz_per_row),
+      vals_(rows * nnz_per_row, uninitialized),
+      cols_(rows * nnz_per_row, uninitialized),
+      rowptr_(rows + 1, uninitialized), x_(rows, uninitialized),
+      y_(rows, uninitialized)
 {
     RFL_ASSERT(rows > 0 && nnz_per_row > 0 && nnz_per_row <= rows);
 }

@@ -5,7 +5,8 @@
 namespace rfl::kernels
 {
 
-Stencil3::Stencil3(size_t n) : n_(n), a_(n), b_(n)
+Stencil3::Stencil3(size_t n)
+    : n_(n), a_(n, uninitialized), b_(n, uninitialized)
 {
     RFL_ASSERT(n >= 16);
 }

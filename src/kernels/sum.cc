@@ -5,7 +5,8 @@
 namespace rfl::kernels
 {
 
-SumReduction::SumReduction(size_t n) : n_(n), x_(n)
+SumReduction::SumReduction(size_t n)
+    : n_(n), x_(n, uninitialized)
 {
     RFL_ASSERT(n > 0);
 }

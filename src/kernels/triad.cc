@@ -5,7 +5,9 @@
 namespace rfl::kernels
 {
 
-Triad::Triad(size_t n, bool nt) : n_(n), nt_(nt), a_(n), b_(n), c_(n)
+Triad::Triad(size_t n, bool nt)
+    : n_(n), nt_(nt), a_(n, uninitialized), b_(n, uninitialized),
+      c_(n, uninitialized)
 {
     RFL_ASSERT(n > 0);
 }

@@ -31,6 +31,12 @@ Measurement::perf() const
     return flops / seconds;
 }
 
+std::string
+Measurement::label() const
+{
+    return kernel + " " + sizeLabel + " (" + protocol + ")";
+}
+
 double
 Measurement::workError() const
 {

@@ -113,6 +113,8 @@ struct Measurement
     double workError() const;
     /** Relative error of measured vs analytic Q (NaN if no model). */
     double trafficError() const;
+    /** Plot label: "<kernel> <size> (<protocol>)". */
+    std::string label() const;
 };
 
 /**

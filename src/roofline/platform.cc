@@ -2,7 +2,7 @@
 
 #include "kernels/engine.hh"
 #include "kernels/kernel.hh"
-#include "support/aligned_buffer.hh"
+#include "support/address_arena.hh"
 #include "support/logging.hh"
 
 namespace rfl::roofline
@@ -92,23 +92,25 @@ PlatformProbe::bandwidthPeak(const std::vector<int> &cores, BwProbe probe,
         buf_doubles = static_cast<size_t>(2 * llc_total / 8);
     }
 
-    // Canonical simulated addresses for the probe buffers, so measured
-    // ceilings are reproducible (see support/address_arena.hh).
-    AddressArena::Scope addresses;
-    AlignedBuffer<double> a(buf_doubles);
-    AlignedBuffer<double> b(probe == BwProbe::NtSet ? 0 : buf_doubles);
-    AlignedBuffer<double> c(probe == BwProbe::Triad ? buf_doubles : 0);
-    for (size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<double>(i % 1024) * 1e-3;
-    for (size_t i = 0; i < c.size(); ++i)
-        c[i] = static_cast<double>(i % 512) * 1e-3;
+    // The probes need an address stream, not data: a, b and c are
+    // canonical simulated regions with no host memory behind them
+    // (support/address_arena.hh). Their order and sizes are fixed: a
+    // even for read, which touches only b; no b for nt-set; c only for
+    // triad. Each region's base is part of the stream the ceiling
+    // values depend on, and test_probe_golden pins those values.
+    const size_t bytes = buf_doubles * sizeof(double);
+    AddressArena addresses;
+    const uint64_t a = addresses.reserveRegion(bytes);
+    const uint64_t b =
+        probe == BwProbe::NtSet ? 0 : addresses.reserveRegion(bytes);
+    const uint64_t c =
+        probe == BwProbe::Triad ? addresses.reserveRegion(bytes) : 0;
 
     machine_.reset();
     machine_.flushAllCaches();
     machine_.resetStats();
 
     const int nparts = static_cast<int>(cores.size());
-    double sink = 0.0;
 
     backend_.begin();
     for (int part = 0; part < nparts; ++part) {
@@ -116,38 +118,44 @@ PlatformProbe::bandwidthPeak(const std::vector<int> &cores, BwProbe probe,
                              cfg.core.maxVectorDoubles, true);
         const auto [lo, hi] =
             kernels::partitionRange(buf_doubles, part, nparts);
-        const int w = e.lanes();
+        const size_t w = static_cast<size_t>(e.lanes());
+        const uint32_t vec = static_cast<uint32_t>(w * sizeof(double));
+        // Each step retires what a vload/vstore kernel body would: the
+        // same memory records, and the FP op on register values.
         const kernels::Vec vs = e.vbroadcast(1.5);
         kernels::Vec acc = e.vbroadcast(0.0);
-        size_t i = lo;
-        for (; i + static_cast<size_t>(w) <= hi;
-             i += static_cast<size_t>(w)) {
+        for (size_t i = lo; i + w <= hi; i += w) {
+            const uint64_t off = i * sizeof(double);
             switch (probe) {
               case BwProbe::Read:
-                acc = e.vadd(acc, e.vload(b.data() + i));
+                e.loadAt(b + off, vec);
+                acc = e.vadd(acc, vs);
                 break;
               case BwProbe::Copy:
-                e.vstore(a.data() + i, e.vload(b.data() + i));
+                e.loadAt(b + off, vec);
+                e.storeAt(a + off, vec);
                 break;
               case BwProbe::Scale:
-                e.vstore(a.data() + i, e.vmul(vs, e.vload(b.data() + i)));
+                e.loadAt(b + off, vec);
+                e.vmul(vs, vs);
+                e.storeAt(a + off, vec);
                 break;
               case BwProbe::Triad:
-                e.vstore(a.data() + i,
-                         e.vfmadd(vs, e.vload(c.data() + i),
-                                  e.vload(b.data() + i)));
+                e.loadAt(b + off, vec);
+                e.loadAt(c + off, vec);
+                e.vfmadd(vs, vs, vs);
+                e.storeAt(a + off, vec);
                 break;
               case BwProbe::NtSet:
-                e.vstoreNT(a.data() + i, vs);
+                e.storeNTAt(a + off, vec);
                 break;
             }
         }
-        sink += e.vreduce(acc);
-        e.loop((hi - lo) / static_cast<size_t>(w));
+        e.vreduce(acc);
+        e.loop((hi - lo) / w);
     }
     machine_.flushAllCaches(cores); // charge trailing writebacks
     const pmu::Counts counts = backend_.end();
-    (void)sink;
 
     double useful_per_elem = 8.0;
     switch (probe) {

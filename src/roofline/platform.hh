@@ -102,7 +102,9 @@ class PlatformProbe
 
     /**
      * Measured peak bandwidth for one probe flavor over @p buf_doubles
-     * doubles (0 = 2x the total LLC capacity). Cold caches.
+     * doubles (0 = 2x the total LLC capacity). Cold caches. The probe
+     * streams over simulated address ranges only: it allocates and
+     * touches no host buffer.
      */
     BandwidthResult bandwidthPeak(const std::vector<int> &cores,
                                   BwProbe probe, size_t buf_doubles = 0);

@@ -39,11 +39,17 @@ RooflinePlot::RooflinePlot(std::string title, RooflineModel model)
     RFL_ASSERT(model_.peakBandwidth() > 0);
 }
 
+bool
+RooflinePlot::plottable(double oi, double perf)
+{
+    return std::isfinite(oi) && oi > 0 && perf > 0;
+}
+
 void
 RooflinePlot::addPoint(const std::string &label, double oi, double perf,
                        bool hardware)
 {
-    if (!std::isfinite(oi) || oi <= 0 || perf <= 0) {
+    if (!plottable(oi, perf)) {
         warn("roofline plot '%s': skipping point '%s' with I=%g P=%g",
              title_.c_str(), label.c_str(), oi, perf);
         return;
@@ -54,9 +60,7 @@ RooflinePlot::addPoint(const std::string &label, double oi, double perf,
 void
 RooflinePlot::addMeasurement(const Measurement &m)
 {
-    const std::string label = m.kernel + " " + m.sizeLabel + " (" +
-                              m.protocol + ")";
-    addPoint(label, m.oi(), m.perf());
+    addPoint(m.label(), m.oi(), m.perf());
 }
 
 void

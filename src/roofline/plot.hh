@@ -42,7 +42,12 @@ class RooflinePlot
   public:
     RooflinePlot(std::string title, RooflineModel model);
 
-    /** Add a point directly. */
+    /** Whether a point at (@p oi, @p perf) can sit on a log-log plot:
+     *  finite, positive intensity and positive performance. */
+    static bool plottable(double oi, double perf);
+
+    /** Add a point directly; an unplottable one is skipped with a
+     *  warning. */
     void addPoint(const std::string &label, double oi, double perf,
                   bool hardware = false);
 

@@ -30,12 +30,17 @@ thread_local AddressArena::Memo AddressArena::tlsMemo_;
 AddressArena::AddressArena() : epoch_(freshEpoch()) {}
 
 uint64_t
-AddressArena::registerRegion(const void *host, size_t bytes)
+AddressArena::reserveRegion(size_t bytes)
 {
     const uint64_t sim = next_;
-    const uint64_t span =
-        (bytes + regionAlign - 1) / regionAlign * regionAlign;
-    next_ += span;
+    next_ += (bytes + regionAlign - 1) / regionAlign * regionAlign;
+    return sim;
+}
+
+uint64_t
+AddressArena::registerRegion(const void *host, size_t bytes)
+{
+    const uint64_t sim = reserveRegion(bytes);
     regions_.push_back(
         {reinterpret_cast<uintptr_t>(host), bytes, sim});
     // The new region may shadow the host range of a freed-and-

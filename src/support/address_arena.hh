@@ -20,6 +20,11 @@
  *
  * Without an active scope, translation is the identity (host addresses
  * pass through, the pre-campaign behaviour).
+ *
+ * A region can also be reserved without host backing (reserveRegion):
+ * it takes its place in the canonical sequence like any allocation, but
+ * the code using it emits simulated addresses itself and never touches
+ * host memory.
  */
 
 #ifndef RFL_SUPPORT_ADDRESS_ARENA_HH
@@ -48,6 +53,16 @@ class AddressArena
      * Called by AlignedBuffer::reset() when a scope is active.
      */
     uint64_t registerRegion(const void *host, size_t bytes);
+
+    /**
+     * Reserve @p bytes of simulated address space with no host backing
+     * and @return its canonical base: the cursor advances exactly as
+     * registerRegion() would, but no host range is recorded, so no
+     * pointer ever translates into it. Callers that only need an
+     * address stream (the bandwidth probes) emit simulated addresses
+     * in the region directly, e.g. through SimEngine::loadAt().
+     */
+    uint64_t reserveRegion(size_t bytes);
 
     /**
      * @return the simulated address of @p p: its offset within the most

@@ -21,11 +21,20 @@
 namespace rfl
 {
 
+/** Tag: allocate an AlignedBuffer without initializing its elements. */
+struct Uninitialized
+{
+};
+inline constexpr Uninitialized uninitialized{};
+
 /**
  * Owning, cache-line (64 B) aligned array of T.
  *
- * Move-only; the allocation is zero-initialized so cold-cache protocols
- * start from a deterministic memory image.
+ * Move-only; the allocation is zero-initialized by default so cold-cache
+ * protocols start from a deterministic memory image. An owner that
+ * writes every element it reads before reading it (a kernel's init())
+ * asks for an uninitialized allocation instead, and host pages it never
+ * touches are never faulted in.
  */
 template <typename T>
 class AlignedBuffer
@@ -37,6 +46,9 @@ class AlignedBuffer
 
     /** Allocate @p n zero-initialized elements. */
     explicit AlignedBuffer(size_t n) { reset(n); }
+
+    /** Allocate @p n elements and leave them uninitialized. */
+    AlignedBuffer(size_t n, Uninitialized) { allocate(n); }
 
     AlignedBuffer(const AlignedBuffer &) = delete;
     AlignedBuffer &operator=(const AlignedBuffer &) = delete;
@@ -63,23 +75,9 @@ class AlignedBuffer
     void
     reset(size_t n)
     {
-        release();
-        if (n == 0)
-            return;
-        size_t bytes = n * sizeof(T);
-        // aligned_alloc requires the size to be a multiple of the alignment.
-        bytes = (bytes + alignment - 1) / alignment * alignment;
-        void *p = std::aligned_alloc(alignment, bytes);
-        if (!p)
-            throw std::bad_alloc();
-        data_ = static_cast<T *>(p);
-        size_ = n;
+        allocate(n);
         for (size_t i = 0; i < n; ++i)
             data_[i] = T{};
-        // Give the buffer a canonical simulated address when a
-        // measurement scope is active (see support/address_arena.hh).
-        if (AddressArena *arena = AddressArena::current())
-            arena->registerRegion(p, bytes);
     }
 
     T *data() { return data_; }
@@ -97,6 +95,27 @@ class AlignedBuffer
     const T *end() const { return data_ + size_; }
 
   private:
+    /** Re-allocate to @p n uninitialized elements. */
+    void
+    allocate(size_t n)
+    {
+        release();
+        if (n == 0)
+            return;
+        size_t bytes = n * sizeof(T);
+        // aligned_alloc requires the size to be a multiple of the alignment.
+        bytes = (bytes + alignment - 1) / alignment * alignment;
+        void *p = std::aligned_alloc(alignment, bytes);
+        if (!p)
+            throw std::bad_alloc();
+        data_ = static_cast<T *>(p);
+        size_ = n;
+        // Give the buffer a canonical simulated address when a
+        // measurement scope is active (see support/address_arena.hh).
+        if (AddressArena *arena = AddressArena::current())
+            arena->registerRegion(p, bytes);
+    }
+
     void
     release()
     {

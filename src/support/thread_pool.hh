@@ -142,6 +142,9 @@ class ThreadPool
                     loop->failure = failure;
                     loop->failed.store(true);
                 }
+                // Drop this thread's reference while holding the lock
+                // (see workerLoop).
+                failure = nullptr;
                 if (++loop->done == n)
                     loop->finished.notify_all();
             }
@@ -150,10 +153,18 @@ class ThreadPool
         for (size_t h = 0; h < helpers; ++h)
             submit(claim);
         claim();
-        std::unique_lock<std::mutex> lock(loop->mutex);
-        loop->finished.wait(lock, [&loop, n] { return loop->done == n; });
-        if (loop->failure)
-            std::rethrow_exception(loop->failure);
+        // Take the exception out of the shared state: a helper task may
+        // outlive this call and destroy the Loop, which must then hold
+        // no reference to an exception this thread is reading.
+        std::exception_ptr failure;
+        {
+            std::unique_lock<std::mutex> lock(loop->mutex);
+            loop->finished.wait(lock,
+                                [&loop, n] { return loop->done == n; });
+            std::swap(failure, loop->failure);
+        }
+        if (failure)
+            std::rethrow_exception(failure);
     }
 
     int threadCount() const { return static_cast<int>(workers_.size()); }
@@ -182,6 +193,11 @@ class ThreadPool
                 std::unique_lock<std::mutex> lock(mutex_);
                 if (failure && !failure_)
                     failure_ = failure;
+                // Drop this thread's reference to the exception while
+                // holding the lock. Released after the unlock, it could
+                // be the last one and destroy the exception object
+                // unordered with the waiter that rethrew and read it.
+                failure = nullptr;
                 if (--pending_ == 0)
                     idle_.notify_all();
             }

@@ -15,6 +15,7 @@
 #include <execinfo.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <time.h>
 #endif
 
 #include "support/escape.hh"
@@ -49,6 +50,17 @@ SamplerState *g_state = nullptr; ///< published before the timer arms
 bool g_running = false;
 ProfilerOptions g_opts;
 std::chrono::steady_clock::time_point g_startedAt;
+double g_startedCpu = 0.0;
+
+/** CPU seconds consumed so far by every thread of the process. */
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 extern "C" void
 rflProfilerSignalHandler(int)
@@ -148,6 +160,7 @@ Profiler::start(ProfilerOptions opts)
     g_state = state;
     g_opts = opts;
     g_startedAt = std::chrono::steady_clock::now();
+    g_startedCpu = processCpuSeconds();
 
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
@@ -179,6 +192,7 @@ Profiler::stop(const std::string &label)
     itimerval off;
     std::memset(&off, 0, sizeof(off));
     setitimer(ITIMER_PROF, &off, nullptr);
+    profile.cpuSeconds = processCpuSeconds() - g_startedCpu;
     g_state->armed.store(false, std::memory_order_release);
     signal(SIGPROF, SIG_IGN);
 
@@ -311,9 +325,13 @@ renderProfileJson(const Profile &profile)
     out << "{\"kind\":\"rfl-profile\",\"schema_version\":1"
         << ",\"label\":\"" << escapeJson(profile.label) << "\""
         << ",\"hz\":" << profile.hz;
-    char sec[32];
-    std::snprintf(sec, sizeof(sec), "%.6f", profile.seconds);
-    out << ",\"seconds\":" << sec << ",\"samples\":" << profile.samples
+    char times[128];
+    std::snprintf(times, sizeof(times),
+                  ",\"seconds\":%.6f,\"cpu_seconds\":%.6f"
+                  ",\"effective_hz\":%.3f",
+                  profile.seconds, profile.cpuSeconds,
+                  profile.effectiveHz());
+    out << times << ",\"samples\":" << profile.samples
         << ",\"dropped\":" << profile.dropped << ",\"stacks\":[";
     for (size_t i = 0; i < profile.stacks.size(); ++i) {
         if (i)

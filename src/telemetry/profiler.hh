@@ -70,11 +70,25 @@ struct CollapsedStack
 struct Profile
 {
     std::string label; ///< free-form ("serve /profilez", "campaign")
-    int hz = 0;
+    int hz = 0;           ///< requested rate (the armed timer's)
     double seconds = 0.0; ///< wall time the timer was armed
+    /** Process CPU seconds (all threads) while the timer was armed. */
+    double cpuSeconds = 0.0;
     uint64_t samples = 0; ///< samples captured (<= ring capacity)
     uint64_t dropped = 0; ///< samples lost to a full ring
     std::vector<CollapsedStack> stacks; ///< sorted by count, desc
+
+    /**
+     * Samples per process CPU-second actually captured; 0 without CPU
+     * time. The kernel may deliver SIGPROF well below the requested
+     * hz, so this, not hz, converts sample counts into CPU seconds.
+     */
+    double
+    effectiveHz() const
+    {
+        return cpuSeconds > 0.0 ? static_cast<double>(samples) / cpuSeconds
+                                : 0.0;
+    }
 };
 
 /**
@@ -116,7 +130,11 @@ class Profiler
 std::vector<CollapsedStack>
 collapseStacks(const std::vector<std::vector<std::string>> &stacks);
 
-/** Strict-JSON export: kind "rfl-profile", schema v1. */
+/**
+ * Strict-JSON export: kind "rfl-profile", schema v1. Carries the
+ * requested `hz` next to the measured `cpu_seconds` and `effective_hz`
+ * (Profile::effectiveHz()).
+ */
 std::string renderProfileJson(const Profile &profile);
 
 /**

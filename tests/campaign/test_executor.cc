@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -367,6 +368,36 @@ TEST(CampaignExecutor, GridLookupsWork)
     EXPECT_EQ(w.cores, 2);
 
     EXPECT_EQ(run.measurements().size(), spec.gridSize());
+}
+
+TEST(CampaignSinks, UnplottablePointIsWarnedOncePerCampaign)
+{
+    // A warm, LLC-resident daxpy moves no memory traffic: I = inf, so
+    // no roofline plot can show it. Both sinks plot the run; stderr
+    // must still name the point once.
+    CampaignSpec spec("warn_once");
+    spec.addMachine("default", MachineConfig::defaultPlatform());
+    spec.addKernels({"daxpy:n=1024"});
+    rfl::roofline::MeasureOptions warm;
+    warm.protocol = rfl::roofline::CacheProtocol::Warm;
+    warm.repetitions = 1;
+    spec.addVariant("warm", warm);
+
+    const std::string dir = ::testing::TempDir() + "rfl_warn_once";
+    std::ostringstream out;
+    ::testing::internal::CaptureStderr();
+    const CampaignRun run = CampaignExecutor(ExecutorOptions{}).run(spec);
+    emitCampaign(run, dir, out);
+    writeCampaignReport(run, dir, out);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    ASSERT_TRUE(std::isinf(run.measurementFor(0, 0, 0).oi()));
+    size_t warnings = 0;
+    for (size_t pos = 0;
+         (pos = err.find("daxpy n=1024 (warm)", pos)) != std::string::npos;
+         ++pos)
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
 }
 
 } // namespace

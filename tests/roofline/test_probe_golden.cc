@@ -1,0 +1,100 @@
+/**
+ * @file
+ * Pins every bandwidth probe's two results to exact doubles.
+ *
+ * The probes' values depend only on the simulated address stream they
+ * emit (record kinds, addresses, widths, order) and the machine model.
+ * `PlatformParts.*` compares the probes with themselves; this table
+ * fails when the stream's effect on any value changes. The values were
+ * measured with probes that streamed through real host buffers, so
+ * they also pin that emitting simulated addresses directly changed
+ * nothing. Update them only with a deliberate change of the probes or
+ * of the simulator, and record it with the change.
+ */
+
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "roofline/platform.hh"
+#include "sim/machine.hh"
+
+namespace
+{
+
+using namespace rfl;
+using namespace rfl::roofline;
+
+struct Pinned
+{
+    const char *machine;
+    int cores; ///< cores 0 .. cores-1
+    BwProbe probe;
+    double bytesPerSec;
+    double usefulBytesPerSec;
+};
+
+// clang-format off
+const Pinned kPinned[] = {
+    {"default", 1, BwProbe::Read, 13241280991.8232, 13241119357.065422},
+    {"default", 1, BwProbe::Copy, 13484879834.491909, 8989846730.1012955},
+    {"default", 1, BwProbe::Scale, 13484879834.491909, 8989846730.1012955},
+    {"default", 1, BwProbe::Triad, 13423143507.693062, 10067265462.201721},
+    {"default", 1, BwProbe::NtSet, 14000000000, 14000000000},
+    {"default", 4, BwProbe::Read, 38400000000, 38399531255.721977},
+    {"default", 4, BwProbe::Copy, 38400000000, 25599791668.362072},
+    {"default", 4, BwProbe::Scale, 38400000000, 25599791668.362072},
+    {"default", 4, BwProbe::Triad, 38399999999.999992, 28799736330.53896},
+    {"default", 4, BwProbe::NtSet, 38400000000, 38400000000},
+    {"default", 8, BwProbe::Read, 76800000000, 76798125045.775238},
+    {"default", 8, BwProbe::Copy, 76799999999.999985, 51199166680.229805},
+    {"default", 8, BwProbe::Scale, 76799999999.999985, 51199166680.229805},
+    {"default", 8, BwProbe::Triad, 76799999999.999985, 57598945331.811546},
+    {"default", 8, BwProbe::NtSet, 76800000000, 76800000000},
+    {"small", 1, BwProbe::Read, 13018597997.138769, 12818311874.105865},
+    {"small", 1, BwProbe::Copy, 13326790971.540726, 8792934249.2639847},
+    {"small", 1, BwProbe::Scale, 13326790971.540726, 8792934249.2639847},
+    {"small", 1, BwProbe::Triad, 11956774510.873253, 8850894288.530756},
+    {"small", 1, BwProbe::NtSet, 14000000000, 14000000000},
+    {"small", 2, BwProbe::Read, 25230907862.131107, 24842740048.86755},
+    {"small", 2, BwProbe::Copy, 25454843660.305298, 16794948394.428238},
+    {"small", 2, BwProbe::Scale, 25454843660.305298, 16794948394.428238},
+    {"small", 2, BwProbe::Triad, 23731624329.612244, 17567120467.606941},
+    {"small", 2, BwProbe::NtSet, 28000000000, 28000000000},
+    {"scalar", 1, BwProbe::Read, 13241101146.489065, 13240777885.310225},
+    {"scalar", 1, BwProbe::Copy, 13484753465.189243, 8989689326.9014397},
+    {"scalar", 1, BwProbe::Scale, 13484753465.189243, 8989689326.9014397},
+    {"scalar", 1, BwProbe::Triad, 13423003204.016516, 10067068069.490606},
+    {"scalar", 1, BwProbe::NtSet, 14000000000, 14000000000},
+};
+// clang-format on
+
+sim::MachineConfig
+configNamed(const std::string &name)
+{
+    if (name == "default")
+        return sim::MachineConfig::defaultPlatform();
+    if (name == "small")
+        return sim::MachineConfig::smallTestMachine();
+    return sim::MachineConfig::scalarMachine();
+}
+
+TEST(ProbeGolden, BandwidthProbesMatchPinnedValues)
+{
+    for (const Pinned &row : kPinned) {
+        sim::Machine machine(configNamed(row.machine));
+        std::vector<int> cores;
+        for (int c = 0; c < row.cores; ++c)
+            cores.push_back(c);
+        const BandwidthResult r =
+            PlatformProbe(machine).bandwidthPeak(cores, row.probe);
+        EXPECT_EQ(r.bytesPerSec, row.bytesPerSec)
+            << row.machine << " " << row.cores << "c "
+            << bwProbeName(row.probe);
+        EXPECT_EQ(r.usefulBytesPerSec, row.usefulBytesPerSec)
+            << row.machine << " " << row.cores << "c "
+            << bwProbeName(row.probe);
+    }
+}
+
+} // namespace

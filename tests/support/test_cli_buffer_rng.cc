@@ -1,4 +1,5 @@
-/** @file Unit tests for Cli, AlignedBuffer and Rng. */
+/** @file Unit tests for Cli, AlignedBuffer (and its AddressArena
+ *  regions) and Rng. */
 
 #include <cstdint>
 #include <set>
@@ -75,6 +76,49 @@ TEST(AlignedBuffer, AlignmentAndZeroInit)
     EXPECT_EQ(buf.size(), 1000u);
     for (size_t i = 0; i < buf.size(); ++i)
         EXPECT_DOUBLE_EQ(buf[i], 0.0);
+}
+
+TEST(AlignedBuffer, UninitializedIsAlignedAndRegistered)
+{
+    rfl::AddressArena::Scope scope;
+    AlignedBuffer<double> zeroed(100);
+    AlignedBuffer<double> raw(1000, rfl::uninitialized);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(raw.data()) % 64, 0u);
+    EXPECT_EQ(raw.size(), 1000u);
+    // Second region in allocation order, exactly as a zeroed buffer.
+    constexpr uint64_t second = rfl::AddressArena::baseAddress +
+                                rfl::AddressArena::regionAlign;
+    EXPECT_EQ(rfl::AddressArena::translate(zeroed.data()),
+              rfl::AddressArena::baseAddress);
+    EXPECT_EQ(rfl::AddressArena::translate(raw.data()), second);
+    EXPECT_EQ(rfl::AddressArena::translate(raw.data() + 999),
+              second + 999 * sizeof(double));
+    raw[999] = 2.5;
+    EXPECT_DOUBLE_EQ(raw[999], 2.5);
+
+    AlignedBuffer<double> none(0, rfl::uninitialized);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(none.data(), nullptr);
+}
+
+TEST(AddressArena, ReserveAdvancesLikeRegisterWithoutAHostRange)
+{
+    rfl::AddressArena::Scope scope;
+    rfl::AddressArena &arena = scope.arena();
+    constexpr uint64_t base = rfl::AddressArena::baseAddress;
+    constexpr uint64_t align = rfl::AddressArena::regionAlign;
+    EXPECT_EQ(arena.reserveRegion(align + 8), base);
+    // A later allocation lands after the reserved span, as it would
+    // after a registered buffer of the same size.
+    AlignedBuffer<double> buf(4);
+    EXPECT_EQ(rfl::AddressArena::translate(buf.data()), base + 2 * align);
+    EXPECT_EQ(arena.reserveRegion(0), base + 3 * align);
+    EXPECT_EQ(arena.reserveRegion(1), base + 3 * align);
+    EXPECT_EQ(arena.reserveRegion(1), base + 4 * align);
+    // Nothing host-side translates into a reserved region.
+    double local = 0.0;
+    EXPECT_EQ(rfl::AddressArena::translate(&local),
+              reinterpret_cast<uintptr_t>(&local));
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership)

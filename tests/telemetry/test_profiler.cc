@@ -63,6 +63,7 @@ TEST(Profiler, ProfileJsonSchema)
     p.label = "unit \"test\"";
     p.hz = 997;
     p.seconds = 1.25;
+    p.cpuSeconds = 0.5;
     p.samples = 3;
     p.dropped = 1;
     p.stacks = {{"a;b", 2}, {"a;c", 1}};
@@ -73,6 +74,8 @@ TEST(Profiler, ProfileJsonSchema)
     EXPECT_NE(json.find("\"hz\":997"), std::string::npos);
     EXPECT_NE(json.find("\"samples\":3"), std::string::npos);
     EXPECT_NE(json.find("\"dropped\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"cpu_seconds\":0.500000"), std::string::npos);
+    EXPECT_NE(json.find("\"effective_hz\":6.000"), std::string::npos);
     EXPECT_NE(json.find("\"stack\":\"a;b\",\"count\":2"),
               std::string::npos);
     EXPECT_NE(json.find("unit \\\"test\\\""), std::string::npos);
@@ -137,6 +140,19 @@ TEST(Profiler, LiveCaptureAttributesBusyLoop)
     // CI machines throttle — but some must have landed.
     EXPECT_GT(p.samples, 5u);
     EXPECT_FALSE(p.stacks.empty());
+    // The capture measures the CPU it covered (one busy thread, so at
+    // most its wall time) and the rate it really got, which the kernel
+    // may hold well below the requested hz.
+    EXPECT_EQ(p.hz, 997);
+    EXPECT_GT(p.cpuSeconds, 0.0);
+    EXPECT_LE(p.cpuSeconds, p.seconds + 0.05);
+    EXPECT_DOUBLE_EQ(p.effectiveHz(),
+                     static_cast<double>(p.samples) / p.cpuSeconds);
+    EXPECT_GT(p.effectiveHz(), 0.0);
+    EXPECT_LE(p.effectiveHz(), 1.1 * p.hz);
+    const std::string json = renderProfileJson(p);
+    EXPECT_NE(json.find("\"cpu_seconds\":"), std::string::npos);
+    EXPECT_NE(json.find("\"effective_hz\":"), std::string::npos);
     uint64_t total = 0;
     uint64_t busy_leaf = 0;
     for (const CollapsedStack &cs : p.stacks) {

@@ -405,6 +405,14 @@ def check_profile(doc: dict) -> None:
         fail("hz must be positive")
     if finite_number(doc, "seconds", "profile") < 0:
         fail("seconds must be non-negative")
+    cpu = finite_number(doc, "cpu_seconds", "profile")
+    if cpu < 0:
+        fail("cpu_seconds must be non-negative")
+    # Samples per process CPU-second: the rate the capture really got,
+    # next to the requested hz.
+    rate = finite_number(doc, "effective_hz", "profile")
+    if rate < 0:
+        fail("effective_hz must be non-negative")
     samples = require(doc, "samples", int)
     if samples < 0:
         fail("samples must be non-negative")
@@ -432,8 +440,9 @@ def check_profile(doc: dict) -> None:
         fail(f"stack counts sum to {total} > {samples} samples")
 
     print(f"{sys.argv[1]}: schema OK "
-          f"(profile v1: '{doc['label']}', {samples} samples at "
-          f"{hz} Hz, {len(stacks)} collapsed stacks)")
+          f"(profile v1: '{doc['label']}', {samples} samples over "
+          f"{cpu:.3f} s cpu, {rate:.1f}/s of {hz} Hz requested, "
+          f"{len(stacks)} collapsed stacks)")
 
 
 def main() -> None:
