@@ -188,7 +188,7 @@ phaseRowFromJson(const Json &j)
 std::string
 KernelRow::label() const
 {
-    return kernel + " " + sizeLabel + " (" + protocol + ")";
+    return roofline::pointLabel(kernel, sizeLabel, protocol);
 }
 
 const Scenario *
@@ -233,48 +233,28 @@ analyzeCampaign(const campaign::CampaignRun &run)
     CampaignAnalysis doc;
     doc.campaign = run.spec.name();
 
-    // Scenarios in grid (machine, variant) order: the model is the
-    // ceiling dependency of any non-ceiling job of the cell.
-    for (size_t mi = 0; mi < run.spec.machines().size(); ++mi) {
-        for (size_t vi = 0; vi < run.spec.variants().size(); ++vi) {
-            for (const Job &job : run.jobs) {
-                if (job.kind == JobKind::Ceiling ||
-                    job.kind == JobKind::TraceRecord ||
-                    job.machineIndex != mi || job.variantIndex != vi)
-                    continue;
-                doc.scenarios.push_back(
-                    {run.spec.machines()[mi].label,
-                     run.spec.variants()[vi].label,
-                     run.results[job.deps.front()].model});
-                break;
-            }
-        }
-    }
+    // Scenarios in grid (machine, variant) order.
+    for (size_t mi = 0; mi < run.spec.machines().size(); ++mi)
+        for (size_t vi = 0; vi < run.spec.variants().size(); ++vi)
+            doc.scenarios.push_back({run.spec.machines()[mi].label,
+                                     run.spec.variants()[vi].label,
+                                     run.modelFor(mi, vi)});
 
     for (const Job &job : run.jobs) {
         const std::string &machine =
             run.spec.machines()[job.machineIndex].label;
-        switch (job.kind) {
-          case JobKind::Measure:
-          case JobKind::TraceReplay:
-          // Hardware rows flow into the same kernel table; unavailable
-          // placeholders are kept (available=false) so the delta table
-          // can name the missing cell instead of silently dropping it.
-          case JobKind::NativeMeasure:
+        const std::string &variant =
+            run.spec.variants()[job.variantIndex].label;
+        // Hardware rows flow into the same kernel table; unavailable
+        // placeholders are kept (available=false) so the delta table
+        // can name the missing cell instead of silently dropping it.
+        if (campaign::yieldsMeasurement(job.kind))
             doc.kernels.push_back(makeKernelRow(
-                machine, run.spec.variants()[job.variantIndex].label,
-                run.results[job.id].measurement,
+                machine, variant, run.results[job.id].measurement,
                 run.results[job.deps.front()].model));
-            break;
-          case JobKind::PhaseSample:
+        else if (job.kind == JobKind::PhaseSample)
             doc.phases.push_back(
-                {machine, run.spec.variants()[job.variantIndex].label,
-                 run.results[job.id].phases});
-            break;
-          case JobKind::Ceiling:
-          case JobKind::TraceRecord:
-            break;
-        }
+                {machine, variant, run.results[job.id].phases});
     }
     return doc;
 }

@@ -68,7 +68,7 @@ struct KernelRow
     bool available = true;
     DerivedMetrics metrics;
 
-    /** "kernel size (protocol)" — the row's plot label. */
+    /** The row's plot label (see roofline::pointLabel). */
     std::string label() const;
 };
 

@@ -15,8 +15,8 @@
 #include "kernels/engine.hh"
 #include "kernels/registry.hh"
 #include "pmu/perf_backend.hh"
-#include "roofline/experiment.hh"
 #include "roofline/native_measurement.hh"
+#include "roofline/platform.hh"
 #include "roofline/plot.hh"
 #include "support/address_arena.hh"
 #include "support/cancel.hh"
@@ -99,6 +99,14 @@ class StageSpan
   public:
     explicit StageSpan(const char *name) : span_(name) {}
 
+    void attr(std::string key, std::string value)
+    {
+        span_.attr(std::move(key), std::move(value));
+    }
+
+    /** What the stage has cost this thread so far. */
+    telemetry::ResourceDelta usage() const { return usage_.delta(); }
+
     ~StageSpan()
     {
         if (!span_.active())
@@ -129,6 +137,21 @@ stageGate(const char *failpointName, const char *stage)
     checkCancelled(stage);
     if (failpoint::fire(failpointName))
         fatal("campaign: injected fault before %s stage", stage);
+}
+
+/**
+ * Build @p machine from @p config under the variant's memory policy and
+ * prefetch setting: the simulated machine of one scenario.
+ */
+sim::Machine &
+buildScenarioMachine(std::optional<sim::Machine> &machine,
+                     const sim::MachineConfig &config,
+                     const RunOptions &opts)
+{
+    machine.emplace(config);
+    machine->setMemPolicy(opts.memPolicy);
+    machine->setPrefetchEnabled(opts.prefetchEnabled);
+    return *machine;
 }
 
 /**
@@ -271,31 +294,64 @@ characterizeParts(const JobContext &ctx, const sim::MachineConfig &config,
     ctx.pool.parallelFor(order.size(), [&](size_t k) {
         const roofline::CeilingPart &part = parts[order[k]];
         // The job's thread already has its deadline, tracer and CPU
-        // bracket in place; a helper thread binds its own.
+        // bracket in place; a helper thread binds its own and adds the
+        // part's CPU to the job's.
         const bool helper = std::this_thread::get_id() != jobThread;
         std::optional<CancelScope> cancelScope;
         std::optional<telemetry::TraceScope> traceScope;
-        std::optional<telemetry::ScopedThreadUsage> usage;
         if (helper) {
             cancelScope.emplace(&ctx.token);
             traceScope.emplace(ctx.tracer);
-            usage.emplace();
         }
-        {
-            telemetry::Span span("ceiling-part");
-            span.attr("probe", part.name);
-            sim::Machine machine(config);
-            machine.setMemPolicy(opts.memPolicy);
-            machine.setPrefetchEnabled(opts.prefetchEnabled);
-            values[order[k]] = roofline::PlatformProbe(machine).measurePart(
-                opts.measure.cores, part);
-        }
+        // The span carries the part's own CPU time, free of its
+        // neighbours' contention.
+        StageSpan span("ceiling-part");
+        span.attr("probe", part.name);
+        std::optional<sim::Machine> machine;
+        values[order[k]] =
+            roofline::PlatformProbe(
+                buildScenarioMachine(machine, config, opts))
+                .measurePart(opts.measure.cores, part);
         if (helper) {
             std::lock_guard<std::mutex> lock(usageMutex);
-            helperUsage.add(usage->delta());
+            helperUsage.add(span.usage());
         }
     });
     return roofline::assembleCeilings(parts, values);
+}
+
+/** Fill @p result from a cached payload of a @p kind job; JsonError on
+ *  a payload of the wrong shape. */
+void
+decodeResult(JobKind kind, const std::string &payload, JobResult &result)
+{
+    switch (kind) {
+      case JobKind::Ceiling:
+        result.model = decodeModel(payload);
+        return;
+      case JobKind::TraceRecord:
+        result.trace = decodeTraceInfo(payload);
+        return;
+      case JobKind::PhaseSample:
+        result.phases = decodePhaseTrajectory(payload);
+        return;
+      default:
+        result.measurement = decodeMeasurement(payload);
+        return;
+    }
+}
+
+/** The cache payload of a finished @p kind job (see decodeResult). */
+std::string
+encodeResult(JobKind kind, const JobResult &result)
+{
+    switch (kind) {
+      case JobKind::Ceiling: return encodeModel(result.model);
+      case JobKind::TraceRecord: return encodeTraceInfo(result.trace);
+      case JobKind::PhaseSample:
+        return encodePhaseTrajectory(result.phases);
+      default: return encodeMeasurement(result.measurement);
+    }
 }
 
 /** Execute one job (cache lookup, else simulate + store).
@@ -319,24 +375,12 @@ executeJob(const CampaignSpec &spec, const Job &job,
             // A payload of the wrong shape (hand-edited spill, other
             // writer) costs one re-simulation, like a pruned trace.
             try {
-                switch (job.kind) {
-                  case JobKind::Ceiling:
-                    result.model = decodeModel(payload);
-                    break;
-                  case JobKind::TraceRecord:
-                    // A cached recording is only as good as the file
-                    // it points at: someone may have pruned the trace
-                    // directory.
-                    result.trace = decodeTraceInfo(payload);
+                decodeResult(job.kind, payload, result);
+                // A cached recording is only as good as the file it
+                // points at: someone may have pruned the trace
+                // directory.
+                if (job.kind == JobKind::TraceRecord)
                     valid = traceFileValid(result.trace);
-                    break;
-                  case JobKind::PhaseSample:
-                    result.phases = decodePhaseTrajectory(payload);
-                    break;
-                  default:
-                    result.measurement = decodeMeasurement(payload);
-                    break;
-                }
             } catch (const JsonError &) {
                 valid = false;
             }
@@ -364,52 +408,35 @@ executeJob(const CampaignSpec &spec, const Job &job,
         // fire once, in the same order as for every other kind.
         stageGate("job.machine-build", "machine-build");
         stageGate("job.simulate", "simulate");
-        {
-            StageSpan sim("simulate");
-            result.model = characterizeParts(ctx, machine.config, opts,
-                                             result.resources);
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey, encodeModel(result.model));
-        }
+        StageSpan sim("simulate");
+        result.model = characterizeParts(ctx, machine.config, opts,
+                                         result.resources);
         break;
       }
       case JobKind::Measure: {
-        std::optional<roofline::Experiment> exp;
+        std::optional<sim::Machine> sim_machine;
         stageGate("job.machine-build", "machine-build");
         {
             StageSpan build("machine-build");
-            exp.emplace(machine.config);
-            exp->machine().setMemPolicy(opts.memPolicy);
-            exp->machine().setPrefetchEnabled(opts.prefetchEnabled);
+            buildScenarioMachine(sim_machine, machine.config, opts);
         }
         stageGate("job.simulate", "simulate");
-        {
-            StageSpan sim("simulate");
-            result.measurement = exp->measureSpec(
-                spec.kernels()[job.kernelIndex], opts.measure);
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey,
-                         encodeMeasurement(result.measurement));
-        }
+        StageSpan sim("simulate");
+        // Canonical simulated addresses for the kernel's operands, so
+        // the measurement is reproducible across processes, heap states
+        // and host threads (see support/address_arena.hh).
+        AddressArena::Scope addresses;
+        const std::unique_ptr<kernels::Kernel> kernel =
+            kernels::createKernel(spec.kernels()[job.kernelIndex]);
+        result.measurement =
+            roofline::Measurer(*sim_machine).measure(*kernel, opts.measure);
         break;
       }
-      case JobKind::TraceRecord: {
+      case JobKind::TraceRecord:
         result.trace =
             recordTrace(machine.config, spec.traces()[job.kernelIndex],
                         exec_opts.traceDir, job.id);
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey, encodeTraceInfo(result.trace));
-        }
         break;
-      }
       case JobKind::TraceReplay: {
         // deps = {ceiling, record}; the record job ran first and left
         // the trace file behind.
@@ -421,29 +448,21 @@ executeJob(const CampaignSpec &spec, const Job &job,
         {
             StageSpan build("machine-build");
             kernel.emplace(info.path);
-            sim_machine.emplace(machine.config);
-            sim_machine->setMemPolicy(opts.memPolicy);
-            sim_machine->setPrefetchEnabled(opts.prefetchEnabled);
+            buildScenarioMachine(sim_machine, machine.config, opts);
         }
-        roofline::Measurer measurer(*sim_machine);
         // Replay is single-stream: run on the variant's first core.
         roofline::MeasureOptions mopts = opts.measure;
         mopts.cores = {opts.measure.cores.front()};
         stageGate("job.simulate", "simulate");
         {
             StageSpan sim("simulate");
-            result.measurement = measurer.measure(*kernel, mopts);
+            result.measurement =
+                roofline::Measurer(*sim_machine).measure(*kernel, mopts);
         }
         // Label the measurement by what was traced, not the replay
         // mechanism, so sinks show "trace(daxpy:n=65536)" rows.
         result.measurement.kernel =
             "trace(" + spec.traces()[job.kernelIndex] + ")";
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey,
-                         encodeMeasurement(result.measurement));
-        }
         break;
       }
       case JobKind::PhaseSample: {
@@ -452,22 +471,12 @@ executeJob(const CampaignSpec &spec, const Job &job,
         stageGate("job.machine-build", "machine-build");
         {
             StageSpan build("machine-build");
-            sim_machine.emplace(machine.config);
-            sim_machine->setMemPolicy(opts.memPolicy);
-            sim_machine->setPrefetchEnabled(opts.prefetchEnabled);
+            buildScenarioMachine(sim_machine, machine.config, opts);
         }
         stageGate("job.simulate", "simulate");
-        {
-            StageSpan sim("simulate");
-            result.phases = analysis::samplePhasesSpec(
-                *sim_machine, phase.spec, opts.measure, phase.period);
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey,
-                         encodePhaseTrajectory(result.phases));
-        }
+        StageSpan sim("simulate");
+        result.phases = analysis::samplePhasesSpec(
+            *sim_machine, phase.spec, opts.measure, phase.period);
         break;
       }
       case JobKind::NativeMeasure: {
@@ -489,7 +498,8 @@ executeJob(const CampaignSpec &spec, const Job &job,
             m.protocol = roofline::protocolName(opts.measure.protocol);
             m.cores = static_cast<int>(opts.measure.cores.size());
             m.lanes = opts.measure.lanes;
-            break;
+            ++simulated;
+            return result;
         }
         std::unique_ptr<kernels::Kernel> kernel;
         std::optional<roofline::NativeMeasurer> measurer;
@@ -511,17 +521,15 @@ executeJob(const CampaignSpec &spec, const Job &job,
         nopts.threads = static_cast<int>(opts.measure.cores.size());
         nopts.seed = opts.measure.seed;
         stageGate("job.simulate", "measure-native");
-        {
-            StageSpan sim("measure-native");
-            m = measurer->measure(*kernel, nopts).base;
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey, encodeMeasurement(m));
-        }
+        StageSpan sim("measure-native");
+        m = measurer->measure(*kernel, nopts).base;
         break;
       }
+    }
+    if (cache) {
+        stageGate("job.encode", "encode");
+        StageSpan encode("encode");
+        cache->store(job.cacheKey, encodeResult(job.kind, result));
     }
     ++simulated;
     return result;
@@ -553,72 +561,47 @@ warnUnplottablePoints(const CampaignRun &run)
 
 } // namespace
 
+const Job &
+CampaignRun::findJob(std::initializer_list<JobKind> kinds,
+                     size_t machineIdx, size_t entryIdx,
+                     size_t variantIdx) const
+{
+    for (const Job &job : jobs) {
+        if (job.machineIndex == machineIdx &&
+            job.variantIndex == variantIdx &&
+            (entryIdx == anyEntry || job.kernelIndex == entryIdx) &&
+            std::find(kinds.begin(), kinds.end(), job.kind) != kinds.end())
+            return job;
+    }
+    panic("campaign: no %s job for machine %zu entry %zu variant %zu",
+          jobKindName(*kinds.begin()), machineIdx, entryIdx, variantIdx);
+}
+
 const roofline::Measurement &
 CampaignRun::measurementFor(size_t machineIdx, size_t kernelIdx,
                             size_t variantIdx) const
 {
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::Measure &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == kernelIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].measurement;
-        }
-    }
-    panic("campaign: no measurement for machine %zu kernel %zu variant "
-          "%zu",
-          machineIdx, kernelIdx, variantIdx);
+    const Job &job =
+        findJob({JobKind::Measure}, machineIdx, kernelIdx, variantIdx);
+    return results[job.id].measurement;
 }
 
 const roofline::Measurement &
 CampaignRun::replayMeasurementFor(size_t machineIdx, size_t traceIdx,
                                   size_t variantIdx) const
 {
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::TraceReplay &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == traceIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].measurement;
-        }
-    }
-    panic("campaign: no replay measurement for machine %zu trace %zu "
-          "variant %zu",
-          machineIdx, traceIdx, variantIdx);
-}
-
-const roofline::Measurement &
-CampaignRun::nativeMeasurementFor(size_t machineIdx, size_t kernelIdx,
-                                  size_t variantIdx) const
-{
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::NativeMeasure &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == kernelIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].measurement;
-        }
-    }
-    panic("campaign: no native measurement for machine %zu kernel %zu "
-          "variant %zu",
-          machineIdx, kernelIdx, variantIdx);
+    const Job &job =
+        findJob({JobKind::TraceReplay}, machineIdx, traceIdx, variantIdx);
+    return results[job.id].measurement;
 }
 
 const analysis::PhaseTrajectory &
 CampaignRun::phaseTrajectoryFor(size_t machineIdx, size_t phaseIdx,
                                 size_t variantIdx) const
 {
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::PhaseSample &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == phaseIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].phases;
-        }
-    }
-    panic("campaign: no phase trajectory for machine %zu phase %zu "
-          "variant %zu",
-          machineIdx, phaseIdx, variantIdx);
+    const Job &job =
+        findJob({JobKind::PhaseSample}, machineIdx, phaseIdx, variantIdx);
+    return results[job.id].phases;
 }
 
 const roofline::RooflineModel &
@@ -626,30 +609,19 @@ CampaignRun::modelFor(size_t machineIdx, size_t variantIdx) const
 {
     // The variant's ceiling job is the first dependency of any of its
     // non-ceiling jobs; find one and follow the edge.
-    for (const Job &job : jobs) {
-        if ((job.kind == JobKind::Measure ||
-             job.kind == JobKind::TraceReplay ||
-             job.kind == JobKind::PhaseSample ||
-             job.kind == JobKind::NativeMeasure) &&
-            job.machineIndex == machineIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.deps.front()].model;
-        }
-    }
-    panic("campaign: no model for machine %zu variant %zu", machineIdx,
-          variantIdx);
+    const Job &job = findJob({JobKind::Measure, JobKind::TraceReplay,
+                              JobKind::PhaseSample, JobKind::NativeMeasure},
+                             machineIdx, anyEntry, variantIdx);
+    return results[job.deps.front()].model;
 }
 
 std::vector<roofline::Measurement>
 CampaignRun::measurements() const
 {
+    // Job order already puts every hardware row after the sim rows.
     std::vector<roofline::Measurement> out;
     for (const Job &job : jobs)
-        if (job.kind == JobKind::Measure ||
-            job.kind == JobKind::TraceReplay)
-            out.push_back(results[job.id].measurement);
-    for (const Job &job : jobs)
-        if (job.kind == JobKind::NativeMeasure &&
+        if (yieldsMeasurement(job.kind) &&
             results[job.id].measurement.available)
             out.push_back(results[job.id].measurement);
     return out;

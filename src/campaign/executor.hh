@@ -21,6 +21,7 @@
 #ifndef RFL_CAMPAIGN_EXECUTOR_HH
 #define RFL_CAMPAIGN_EXECUTOR_HH
 
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,7 +71,7 @@ struct ExecutorOptions
 struct JobResult
 {
     bool fromCache = false;
-    /** Filled for Measure and TraceReplay jobs. */
+    /** Filled for Measure, TraceReplay and NativeMeasure jobs. */
     roofline::Measurement measurement;
     /** Filled for Ceiling jobs. */
     roofline::RooflineModel model;
@@ -124,14 +125,6 @@ struct CampaignRun
     replayMeasurementFor(size_t machineIdx, size_t traceIdx,
                          size_t variantIdx) const;
 
-    /** Hardware (backend = perf) measurement of one grid cell; panics
-     *  when the spec has no perf backend or indices are invalid. An
-     *  unavailable-host placeholder row still counts (check its
-     *  available flag). */
-    const roofline::Measurement &
-    nativeMeasurementFor(size_t machineIdx, size_t kernelIdx,
-                         size_t variantIdx) const;
-
     /** Phase trajectory of phases()[phaseIdx]; panics when absent. */
     const analysis::PhaseTrajectory &
     phaseTrajectoryFor(size_t machineIdx, size_t phaseIdx,
@@ -144,6 +137,16 @@ struct CampaignRun
     /** All measurements in deterministic grid order (sim and replay
      *  rows, then hardware rows — unavailable placeholders excluded). */
     std::vector<roofline::Measurement> measurements() const;
+
+  private:
+    /** findJob's entry index that matches a job of any entry. */
+    static constexpr size_t anyEntry = static_cast<size_t>(-1);
+
+    /** The first job (in job order) of one of @p kinds at grid cell
+     *  (machine, entry, variant); panics when there is none. */
+    const Job &findJob(std::initializer_list<JobKind> kinds,
+                       size_t machineIdx, size_t entryIdx,
+                       size_t variantIdx) const;
 };
 
 /**

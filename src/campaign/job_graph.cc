@@ -20,13 +20,9 @@ std::string
 ceilingSignature(const RunOptions &opts)
 {
     std::ostringstream out;
-    out << "cores=" << formatCoreSet(opts.measure.cores) << ",numa=";
-    switch (opts.memPolicy) {
-      case sim::MemPolicy::Socket0: out << "socket0"; break;
-      case sim::MemPolicy::LocalToAccessor: out << "local"; break;
-      case sim::MemPolicy::Interleave: out << "interleave"; break;
-    }
-    out << ",prefetch=" << (opts.prefetchEnabled ? 1 : 0);
+    out << "cores=" << formatCoreSet(opts.measure.cores)
+        << ",numa=" << sim::memPolicyName(opts.memPolicy)
+        << ",prefetch=" << (opts.prefetchEnabled ? 1 : 0);
     return out.str();
 }
 
@@ -187,54 +183,63 @@ JobGraph::expand(const CampaignSpec &spec)
     spec.validate();
 
     JobGraph graph;
-    // (machine, ceiling signature) -> ceiling job id.
-    std::map<std::pair<size_t, std::string>, size_t> ceilings;
+    std::vector<Job> &jobs = graph.jobs_;
+    const auto addJob = [&jobs](JobKind kind, size_t mi, size_t xi,
+                                size_t vi, std::string key) -> Job & {
+        Job &job = jobs.emplace_back();
+        job.id = jobs.size() - 1;
+        job.kind = kind;
+        job.machineIndex = mi;
+        job.kernelIndex = xi;
+        job.variantIndex = vi;
+        job.cacheKey = std::move(key);
+        return job;
+    };
 
     // Ceiling jobs first, in spec order, so job ids are deterministic.
+    // (machine, ceiling signature) -> ceiling job id.
+    std::map<std::pair<size_t, std::string>, size_t> ceilings;
     for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
         for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-            const Variant &v = spec.variants()[vi];
-            const std::string sig = ceilingSignature(v.opts);
-            const auto key = std::make_pair(mi, sig);
-            if (ceilings.count(key))
-                continue;
-            Job job;
-            job.id = graph.jobs_.size();
-            job.kind = JobKind::Ceiling;
-            job.machineIndex = mi;
-            job.variantIndex = vi;
-            job.cacheKey =
-                ceilingCacheKey(spec.machines()[mi].config, v.opts);
-            ceilings.emplace(key, job.id);
-            graph.jobs_.push_back(std::move(job));
+            const RunOptions &opts = spec.variants()[vi].opts;
+            const auto [it, inserted] =
+                ceilings.emplace(std::make_pair(mi, ceilingSignature(opts)),
+                                 jobs.size());
+            if (inserted)
+                addJob(JobKind::Ceiling, mi, 0, vi,
+                       ceilingCacheKey(spec.machines()[mi].config, opts));
         }
     }
-    graph.ceilingJobs_ = graph.jobs_.size();
+    graph.ceilingJobs_ = jobs.size();
 
-    // Measure jobs: machines x kernels x variants, each depending on its
-    // scenario's ceiling job. Skipped when the spec selects hardware
-    // rows only (backend = perf without sim).
-    const size_t simKernels =
-        spec.hasBackend("sim") ? spec.kernels().size() : 0;
-    for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-        for (size_t ki = 0; ki < simKernels; ++ki) {
-            for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                const Variant &v = spec.variants()[vi];
-                Job job;
-                job.id = graph.jobs_.size();
-                job.kind = JobKind::Measure;
-                job.machineIndex = mi;
-                job.kernelIndex = ki;
-                job.variantIndex = vi;
-                job.cacheKey = measureCacheKey(
-                    spec.machines()[mi].config, spec.kernels()[ki],
-                    v.opts);
-                job.deps.push_back(
-                    ceilings.at({mi, ceilingSignature(v.opts)}));
-                graph.jobs_.push_back(std::move(job));
+    // One job per (machine, entry, variant) for entries [0, entries),
+    // depending first on its scenario's ceiling job — ceilingJobFor
+    // follows deps.front(). @return the id of the first job added.
+    const auto addGrid = [&](JobKind kind, size_t entries,
+                             const auto &cacheKey) {
+        const size_t first = jobs.size();
+        for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
+            for (size_t xi = 0; xi < entries; ++xi) {
+                for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
+                    const RunOptions &opts = spec.variants()[vi].opts;
+                    addJob(kind, mi, xi, vi,
+                           cacheKey(spec.machines()[mi].config, xi, opts))
+                        .deps.push_back(
+                            ceilings.at({mi, ceilingSignature(opts)}));
+                }
             }
         }
-    }
+        return first;
+    };
+
+    // Measure jobs, skipped when the spec selects hardware rows only
+    // (backend = perf without sim).
+    addGrid(JobKind::Measure,
+            spec.hasBackend("sim") ? spec.kernels().size() : 0,
+            [&](const sim::MachineConfig &config, size_t ki,
+                const RunOptions &opts) {
+                return measureCacheKey(config, spec.kernels()[ki], opts);
+            });
 
     // Trace-record jobs: one per (machine, trace). The recorded stream
     // is variant-independent (see traceRecordParams), so variants share
@@ -242,98 +247,53 @@ JobGraph::expand(const CampaignSpec &spec)
     std::map<std::pair<size_t, size_t>, size_t> records;
     for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
         for (size_t ti = 0; ti < spec.traces().size(); ++ti) {
-            Job job;
-            job.id = graph.jobs_.size();
-            job.kind = JobKind::TraceRecord;
-            job.machineIndex = mi;
-            job.kernelIndex = ti;
-            job.variantIndex = 0; // unused; recording has no variant
-            job.cacheKey = traceRecordCacheKey(
-                spec.machines()[mi].config, spec.traces()[ti]);
-            records.emplace(std::make_pair(mi, ti), job.id);
-            graph.jobs_.push_back(std::move(job));
+            records.emplace(std::make_pair(mi, ti), jobs.size());
+            // Variant 0 is unused: recording has no variant.
+            addJob(JobKind::TraceRecord, mi, ti, 0,
+                   traceRecordCacheKey(spec.machines()[mi].config,
+                                       spec.traces()[ti]));
         }
     }
 
-    // Trace-replay jobs: machines x traces x variants. Dep order is
-    // load-bearing: ceiling first (ceilingJobFor follows deps.front()),
-    // then the recording that supplies the trace file.
-    for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-        for (size_t ti = 0; ti < spec.traces().size(); ++ti) {
-            for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                const Variant &v = spec.variants()[vi];
-                Job job;
-                job.id = graph.jobs_.size();
-                job.kind = JobKind::TraceReplay;
-                job.machineIndex = mi;
-                job.kernelIndex = ti;
-                job.variantIndex = vi;
-                job.cacheKey = traceReplayCacheKey(
-                    spec.machines()[mi].config, spec.traces()[ti],
-                    v.opts);
-                job.deps.push_back(
-                    ceilings.at({mi, ceilingSignature(v.opts)}));
-                job.deps.push_back(records.at({mi, ti}));
-                graph.jobs_.push_back(std::move(job));
-            }
-        }
-    }
+    // Trace-replay jobs depend on the ceiling first, then on the
+    // recording that supplies the trace file.
+    const size_t replays = addGrid(
+        JobKind::TraceReplay, spec.traces().size(),
+        [&](const sim::MachineConfig &config, size_t ti,
+            const RunOptions &opts) {
+            return traceReplayCacheKey(config, spec.traces()[ti], opts);
+        });
+    for (size_t id = replays; id < jobs.size(); ++id)
+        jobs[id].deps.push_back(
+            records.at({jobs[id].machineIndex, jobs[id].kernelIndex}));
 
-    // Phase-sample jobs: machines x phases x variants, each depending
-    // on its scenario's ceiling job (like Measure jobs).
-    for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-        for (size_t pi = 0; pi < spec.phases().size(); ++pi) {
-            for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                const Variant &v = spec.variants()[vi];
-                Job job;
-                job.id = graph.jobs_.size();
-                job.kind = JobKind::PhaseSample;
-                job.machineIndex = mi;
-                job.kernelIndex = pi;
-                job.variantIndex = vi;
-                job.cacheKey = phaseSampleCacheKey(
-                    spec.machines()[mi].config, spec.phases()[pi],
-                    v.opts);
-                job.deps.push_back(
-                    ceilings.at({mi, ceilingSignature(v.opts)}));
-                graph.jobs_.push_back(std::move(job));
-            }
-        }
-    }
+    addGrid(JobKind::PhaseSample, spec.phases().size(),
+            [&](const sim::MachineConfig &config, size_t pi,
+                const RunOptions &opts) {
+                return phaseSampleCacheKey(config, spec.phases()[pi], opts);
+            });
 
-    // NativeMeasure jobs last (backend = perf): machines x kernels x
-    // variants, appended after every sim job so sim job ids — and with
-    // them every pre-existing cached artifact — are unchanged by the
-    // presence of hardware rows.
+    // NativeMeasure jobs last (backend = perf), appended after every
+    // sim job so sim job ids — and with them every pre-existing cached
+    // artifact — are unchanged by the presence of hardware rows.
     if (spec.hasBackend("perf")) {
+        const size_t natives = addGrid(
+            JobKind::NativeMeasure, spec.kernels().size(),
+            [&](const sim::MachineConfig &, size_t ki,
+                const RunOptions &opts) {
+                return nativeMeasureCacheKey(spec.kernels()[ki], opts);
+            });
         // The cache key deliberately ignores the machine index (the
         // row measures the host, not the simulated machine), so a
         // multi-machine spec repeats keys. Chain each duplicate behind
         // the first job with its key: one native run happens, the rest
         // replay it from the cache instead of racing it cold.
         std::map<std::string, size_t> firstByKey;
-        for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-            for (size_t ki = 0; ki < spec.kernels().size(); ++ki) {
-                for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                    const Variant &v = spec.variants()[vi];
-                    Job job;
-                    job.id = graph.jobs_.size();
-                    job.kind = JobKind::NativeMeasure;
-                    job.machineIndex = mi;
-                    job.kernelIndex = ki;
-                    job.variantIndex = vi;
-                    job.cacheKey = nativeMeasureCacheKey(
-                        spec.kernels()[ki], v.opts);
-                    // Ceiling first: ceilingJobFor follows deps.front().
-                    job.deps.push_back(
-                        ceilings.at({mi, ceilingSignature(v.opts)}));
-                    const auto [it, inserted] =
-                        firstByKey.emplace(job.cacheKey, job.id);
-                    if (!inserted)
-                        job.deps.push_back(it->second);
-                    graph.jobs_.push_back(std::move(job));
-                }
-            }
+        for (size_t id = natives; id < jobs.size(); ++id) {
+            const auto [it, inserted] =
+                firstByKey.emplace(jobs[id].cacheKey, id);
+            if (!inserted)
+                jobs[id].deps.push_back(it->second);
         }
     }
     return graph;
@@ -342,17 +302,10 @@ JobGraph::expand(const CampaignSpec &spec)
 size_t
 JobGraph::ceilingJobFor(const Job &job) const
 {
-    switch (job.kind) {
-      case JobKind::Ceiling:
+    if (job.kind == JobKind::Ceiling)
         return job.id;
-      case JobKind::TraceRecord:
+    if (job.kind == JobKind::TraceRecord)
         panic("trace-record job #%zu has no ceiling job", job.id);
-      case JobKind::Measure:
-      case JobKind::TraceReplay:
-      case JobKind::PhaseSample:
-      case JobKind::NativeMeasure:
-        break;
-    }
     RFL_ASSERT(!job.deps.empty());
     return job.deps.front();
 }

@@ -2,7 +2,7 @@
  * @file
  * JobGraph: expansion of a CampaignSpec into schedulable jobs.
  *
- * Four job kinds:
+ * Six job kinds:
  *   - Ceiling: characterize the roofline ceilings of one machine under
  *     one scenario signature (core set, NUMA policy, prefetch enable).
  *     One per distinct signature per machine, however many variants
@@ -26,15 +26,19 @@
  *     host-identity key (cpu model + flags + RFL_PERF_EVENTS hash):
  *     hardware rows are not reproducible from MachineConfig alone.
  *
- * Every Measure job depends on its machine's Ceiling job for the
- * variant's signature, so a config is characterized exactly once and
- * always before its sweeps — the sink can then plot each measurement
- * against a model that is guaranteed to exist.
+ * Every Measure, TraceReplay, PhaseSample and NativeMeasure job
+ * depends first on its machine's Ceiling job for the variant's
+ * signature, so a config is characterized exactly once and always
+ * before its sweeps — the sink can then plot each measurement against
+ * a model that is guaranteed to exist.
  *
  * Jobs are numbered in deterministic spec order (ceilings, then
- * machines x kernels x variants, then trace records, then trace
- * replays), which is also the aggregation order; the executor may
- * *complete* them in any order without affecting artifacts.
+ * machines x kernels x variants measures, then trace records, then
+ * machines x traces x variants replays, then machines x phases x
+ * variants phase samples, then — with backend = perf — machines x
+ * kernels x variants native measures), which is also the aggregation
+ * order; the executor may *complete* them in any order without
+ * affecting artifacts.
  */
 
 #ifndef RFL_CAMPAIGN_JOB_GRAPH_HH
@@ -76,8 +80,8 @@ struct Job
     size_t machineIndex = 0;
     /** Variant whose signature/options this job runs under. */
     size_t variantIndex = 0;
-    /** Kernel index (Measure), traces() index (TraceRecord/Replay), or
-     *  phases() index (PhaseSample). */
+    /** Kernel index (Measure, NativeMeasure), traces() index
+     *  (TraceRecord/Replay), or phases() index (PhaseSample). */
     size_t kernelIndex = 0;
     /** Content-addressed cache key (see result_cache.hh). */
     std::string cacheKey;

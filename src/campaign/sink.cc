@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "analysis/report.hh"
+#include "roofline/plot.hh"
 #include "support/csv.hh"
 #include "support/units.hh"
 
@@ -48,35 +49,6 @@ writeCampaignCsv(const CampaignRun &run, const std::string &dir,
     return path;
 }
 
-roofline::RooflinePlot
-scenarioPlot(const CampaignRun &run, size_t machineIdx, size_t variantIdx,
-             const std::string &title)
-{
-    std::string t = title;
-    if (t.empty()) {
-        t = run.spec.name() + ": " +
-            run.spec.machines()[machineIdx].label + ", " +
-            run.spec.variants()[variantIdx].label;
-    }
-    roofline::RooflinePlot plot(t, run.modelFor(machineIdx, variantIdx));
-    for (const Job &job : run.jobs) {
-        if (job.machineIndex != machineIdx ||
-            job.variantIndex != variantIdx ||
-            !yieldsMeasurement(job.kind))
-            continue;
-        const roofline::Measurement &m = run.results[job.id].measurement;
-        // The executor already warned about unplottable points, once
-        // per campaign (warnUnplottablePoints).
-        if (!m.available ||
-            !roofline::RooflinePlot::plottable(m.oi(), m.perf()))
-            continue;
-        const bool hw = job.kind == JobKind::NativeMeasure;
-        plot.addPoint(hw ? m.label() + " [hw]" : m.label(), m.oi(),
-                      m.perf(), hw);
-    }
-    return plot;
-}
-
 Table
 summaryTable(const CampaignRun &run)
 {
@@ -109,16 +81,15 @@ emitCampaign(const CampaignRun &run, const std::string &dir,
     ensureDirectory(dir);
     const std::string csv = writeCampaignCsv(run, dir, run.spec.name());
 
-    for (size_t mi = 0; mi < run.spec.machines().size(); ++mi) {
-        for (size_t vi = 0; vi < run.spec.variants().size(); ++vi) {
-            const roofline::RooflinePlot plot = scenarioPlot(run, mi, vi);
-            const std::string file =
-                run.spec.name() + "_" +
-                run.spec.machines()[mi].label + "_" +
-                run.spec.variants()[vi].label;
-            plot.writeGnuplot(dir, file);
-            os << plot.renderAscii() << "\n";
-        }
+    // The analysis report's scenario plots, so the .gp files and its
+    // SVGs show the same points under the same labels.
+    const analysis::CampaignAnalysis doc = analysis::analyzeCampaign(run);
+    for (const analysis::Scenario &s : doc.scenarios) {
+        const roofline::RooflinePlot plot =
+            analysis::scenarioPlot(doc, s, nullptr);
+        plot.writeGnuplot(dir,
+                          doc.campaign + "_" + s.machine + "_" + s.variant);
+        os << plot.renderAscii() << "\n";
     }
 
     summaryTable(run).print(os);

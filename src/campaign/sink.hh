@@ -17,7 +17,6 @@
 
 #include "analysis/analysis.hh"
 #include "campaign/executor.hh"
-#include "roofline/plot.hh"
 #include "support/table.hh"
 
 namespace rfl::campaign
@@ -32,14 +31,6 @@ std::string writeCampaignCsv(const CampaignRun &run,
                              const std::string &dir,
                              const std::string &name);
 
-/**
- * Roofline plot of one (machine, variant) scenario: the scenario's
- * measured ceilings with one point per kernel.
- */
-roofline::RooflinePlot scenarioPlot(const CampaignRun &run,
-                                    size_t machineIdx, size_t variantIdx,
-                                    const std::string &title = "");
-
 /** One row per measurement: grid cell, W, Q, T, I, P. */
 Table summaryTable(const CampaignRun &run);
 
@@ -51,8 +42,9 @@ void printCampaignStats(const CampaignRun &run, std::ostream &os);
 
 /**
  * Full artifact set under @p dir: merged CSV, one .dat/.gp roofline per
- * (machine, variant), and a summary report (tables, cache statistics,
- * wall time) to @p os.
+ * (machine, variant) scenario — analysis::scenarioPlot, the plot the
+ * analysis report's SVGs show — and a summary report (tables, cache
+ * statistics, wall time) to @p os.
  */
 void emitCampaign(const CampaignRun &run, const std::string &dir,
                   std::ostream &os);

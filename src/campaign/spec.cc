@@ -100,17 +100,6 @@ applyVariantOption(RunOptions &opts, const std::string &key,
     }
 }
 
-const char *
-memPolicyKey(sim::MemPolicy policy)
-{
-    switch (policy) {
-      case sim::MemPolicy::Socket0: return "socket0";
-      case sim::MemPolicy::LocalToAccessor: return "local";
-      case sim::MemPolicy::Interleave: return "interleave";
-    }
-    return "?";
-}
-
 } // namespace
 
 std::string
@@ -127,7 +116,7 @@ RunOptions::canonicalKey() const
         << ",lanes=" << measure.lanes
         << ",fma=" << (measure.useFma ? 1 : 0)
         << ",seed=" << measure.seed
-        << ",numa=" << memPolicyKey(memPolicy)
+        << ",numa=" << sim::memPolicyName(memPolicy)
         << ",prefetch=" << (prefetchEnabled ? 1 : 0);
     return out.str();
 }

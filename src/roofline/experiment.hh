@@ -3,9 +3,9 @@
  * Experiment: one simulated machine with its ceiling probe and
  * measurer.
  *
- * The campaign executor measures every kernel job through one
- * (measureSpec); examples and the bench programs that read counters a
- * campaign row does not carry use it directly. Ceilings are
+ * Examples and the bench programs that read counters a campaign row
+ * does not carry use it directly; a campaign Measure job measures the
+ * way measureSpec does, on the machine of its scenario. Ceilings are
  * characterized once per core set and cached in the instance.
  */
 

@@ -34,6 +34,13 @@ Measurement::perf() const
 std::string
 Measurement::label() const
 {
+    return pointLabel(kernel, sizeLabel, protocol);
+}
+
+std::string
+pointLabel(const std::string &kernel, const std::string &sizeLabel,
+           const std::string &protocol)
+{
     return kernel + " " + sizeLabel + " (" + protocol + ")";
 }
 

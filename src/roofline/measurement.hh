@@ -113,9 +113,14 @@ struct Measurement
     double workError() const;
     /** Relative error of measured vs analytic Q (NaN if no model). */
     double trafficError() const;
-    /** Plot label: "<kernel> <size> (<protocol>)". */
+    /** Plot label (see pointLabel). */
     std::string label() const;
 };
+
+/** Plot label of a measured row: "<kernel> <size> (<protocol>)". */
+std::string pointLabel(const std::string &kernel,
+                       const std::string &sizeLabel,
+                       const std::string &protocol);
 
 /**
  * Runs kernels on a simulated machine per the methodology above.

@@ -47,7 +47,8 @@ enum class MemPolicy
     Interleave,
 };
 
-/** @return printable policy name. */
+/** @return printable policy name: "socket0", "local" or "interleave",
+ *  also the `numa=` spelling of campaign specs and their cache keys. */
 const char *memPolicyName(MemPolicy policy);
 
 /**

@@ -10,11 +10,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "campaign/executor.hh"
 #include "campaign/sink.hh"
+#include "pmu/perf_backend.hh"
 #include "roofline/platform.hh"
 #include "support/cancel.hh"
 #include "support/json.hh"
@@ -122,7 +125,7 @@ TEST(CampaignExecutor, ColdCeilingPartsFanOutWithIdenticalResults)
     }
 
     // One ceiling-part span per part of every ceiling job, each naming
-    // its probe.
+    // its probe and carrying its own CPU time and fault counts.
     const size_t parts =
         rfl::roofline::ceilingParts(spec.machines()[0].config.core)
             .size();
@@ -131,8 +134,14 @@ TEST(CampaignExecutor, ColdCeilingPartsFanOutWithIdenticalResults)
         if (rec.name != "ceiling-part")
             continue;
         ++partSpans;
-        ASSERT_EQ(rec.attrs.size(), 1u);
+        ASSERT_EQ(rec.attrs.size(), 4u);
         EXPECT_EQ(rec.attrs[0].first, "probe");
+        EXPECT_EQ(rec.attrs[1].first, "cpu_s");
+        EXPECT_EQ(rec.attrs[2].first, "maj_faults");
+        EXPECT_EQ(rec.attrs[3].first, "min_faults");
+        const double cpu = std::stod(rec.attrs[1].second);
+        EXPECT_TRUE(std::isfinite(cpu)) << rec.attrs[1].second;
+        EXPECT_GE(cpu, 0.0);
     }
     EXPECT_EQ(partSpans, ceilings * parts);
 }
@@ -398,6 +407,87 @@ TEST(CampaignSinks, UnplottablePointIsWarnedOncePerCampaign)
          ++pos)
         ++warnings;
     EXPECT_EQ(warnings, 1u) << err;
+}
+
+/** Titles of the point series in a .dat (every series that is not the
+ *  roof or a ceiling), in file order. */
+std::vector<std::string>
+datPointTitles(const std::string &text)
+{
+    std::vector<std::string> titles;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        const size_t colon = line.find(": ");
+        if (line.rfind("# series ", 0) != 0 || colon == std::string::npos)
+            continue;
+        const std::string title = line.substr(colon + 2);
+        if (title != "roof" && title.rfind("ceiling: ", 0) != 0 &&
+            title.rfind("bandwidth: ", 0) != 0)
+            titles.push_back(title);
+    }
+    return titles;
+}
+
+TEST(CampaignSinks, ScenarioPlotsHoldMeasureThenReplayPoints)
+{
+    // The .dat/.gp pair of every (machine, variant) scenario: the
+    // scenario title, the measure rows in kernel order, then the
+    // trace-replay row, and no point for an unavailable hardware
+    // placeholder.
+    if (rfl::pmu::PerfEventBackend::available())
+        GTEST_SKIP() << "perf_event_open is granted: the backend = perf "
+                        "rows are real measurements, not placeholders";
+    const CampaignSpec spec = parseCampaignSpec(
+        "name = plotsw\n"
+        "machine = small\n"
+        "kernel = daxpy:n=256\n"
+        "kernel = sum:n=512\n"
+        "trace = daxpy:n=256\n"
+        "variant = cold-1c: protocol=cold cores=0 reps=1\n"
+        "variant = nopf-1c: protocol=cold cores=0 reps=1 prefetch=off\n"
+        "backend = sim\n"
+        "backend = perf\n");
+    const std::string dir = ::testing::TempDir() + "rfl_plot_points";
+    ExecutorOptions opts;
+    opts.traceDir = dir + "/traces";
+    const CampaignRun run = CampaignExecutor(opts).run(spec);
+
+    size_t placeholders = 0;
+    for (const Job &job : run.jobs)
+        if (job.kind == JobKind::NativeMeasure &&
+            !run.results[job.id].measurement.available)
+            ++placeholders;
+    ASSERT_EQ(placeholders, 4u);
+
+    std::ostringstream out;
+    emitCampaign(run, dir, out);
+    const std::string machine = spec.machines()[0].label;
+    for (const std::string variant : {"cold-1c", "nopf-1c"}) {
+        const std::string title = "plotsw: " + machine + ", " + variant;
+        const std::string stem = dir + "/plotsw_" + machine + "_" + variant;
+        const std::string gp = readFile(stem + ".gp");
+        EXPECT_NE(gp.find("set title \"" + title + "\"\n"),
+                  std::string::npos)
+            << gp;
+        EXPECT_NE(out.str().find(title + "  [y: Gflop/s"),
+                  std::string::npos);
+        const std::vector<std::string> points =
+            datPointTitles(readFile(stem + ".dat"));
+        ASSERT_EQ(points.size(), 3u) << variant;
+        EXPECT_EQ(points[0], "daxpy n=256 (cold)");
+        EXPECT_EQ(points[1], "sum n=512 (cold)");
+        EXPECT_EQ(points[2].rfind("trace(daxpy:n=256) ", 0), 0u)
+            << points[2];
+        EXPECT_EQ(points[2].find("[hw]"), std::string::npos) << points[2];
+        // The .gp script names the same points in the same order.
+        size_t pos = 0;
+        for (const std::string &p : points) {
+            pos = gp.find("title \"" + p + "\"", pos);
+            EXPECT_NE(pos, std::string::npos) << p;
+        }
+        EXPECT_EQ(gp.find("[hw]"), std::string::npos);
+    }
 }
 
 } // namespace
