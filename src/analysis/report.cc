@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <ostream>
-#include <sstream>
 
 #include "support/csv.hh"
 #include "support/escape.hh"
@@ -42,44 +40,45 @@ oiText(double oi)
 }
 
 void
-htmlKernelTable(std::ostringstream &html, const CampaignAnalysis &doc,
+htmlKernelTable(std::string &html, const CampaignAnalysis &doc,
                 const Scenario &s)
 {
-    html << "<table>\n<tr><th>point</th><th>backend</th>"
-            "<th>I [flop/B]</th>"
-            "<th>P [Gflop/s]</th><th>roof(I) [Gflop/s]</th>"
-            "<th>%roof</th><th>%peak</th><th>%bw</th><th>bound</th>"
-            "<th>binding ceiling</th><th>quality</th></tr>\n";
+    html.append("<table>\n<tr><th>point</th><th>backend</th>"
+                "<th>I [flop/B]</th>"
+                "<th>P [Gflop/s]</th><th>roof(I) [Gflop/s]</th>"
+                "<th>%roof</th><th>%peak</th><th>%bw</th><th>bound</th>"
+                "<th>binding ceiling</th><th>quality</th></tr>\n");
     for (const KernelRow &r : doc.kernels) {
         if (r.machine != s.machine || r.variant != s.variant)
             continue;
         if (!r.available) {
             // Hardware placeholder: name the gap instead of a row of
             // zeros pretending the host measured something.
-            html << "<tr><td>" << escapeXml(r.label()) << "</td><td>"
-                 << escapeXml(r.backend)
-                 << "</td><td colspan='9'>unavailable (perf_event "
-                    "denied on measurement host)</td></tr>\n";
+            html.append("<tr><td>").append(escapeXml(r.label()))
+                .append("</td><td>").append(escapeXml(r.backend))
+                .append("</td><td colspan='9'>unavailable (perf_event "
+                        "denied on measurement host)</td></tr>\n");
             continue;
         }
         const DerivedMetrics &d = r.metrics;
-        html << "<tr><td>" << escapeXml(r.label()) << "</td><td>"
-             << escapeXml(r.backend) << "</td><td>"
-             << oiText(d.oi) << "</td><td>"
-             << formatSig(d.perf / 1e9, 4) << "</td><td>"
-             << formatSig(d.attainable / 1e9, 4) << "</td><td>"
-             << formatSig(d.pctRoof, 3) << "</td><td>"
-             << formatSig(d.pctPeak, 3) << "</td><td>"
-             << formatSig(d.pctPeakBandwidth, 3) << "</td><td>"
-             << boundClassName(d.bound) << "</td><td>"
-             << escapeXml(d.bindingCeiling) << "</td><td>"
-             << formatSig(r.quality, 3) << "</td></tr>\n";
+        html.append("<tr><td>").append(escapeXml(r.label()))
+            .append("</td><td>").append(escapeXml(r.backend))
+            .append("</td><td>").append(oiText(d.oi))
+            .append("</td><td>").append(formatSig(d.perf / 1e9, 4))
+            .append("</td><td>").append(formatSig(d.attainable / 1e9, 4))
+            .append("</td><td>").append(formatSig(d.pctRoof, 3))
+            .append("</td><td>").append(formatSig(d.pctPeak, 3))
+            .append("</td><td>").append(formatSig(d.pctPeakBandwidth, 3))
+            .append("</td><td>").append(boundClassName(d.bound))
+            .append("</td><td>").append(escapeXml(d.bindingCeiling))
+            .append("</td><td>").append(formatSig(r.quality, 3))
+            .append("</td></tr>\n");
     }
-    html << "</table>\n";
+    html.append("</table>\n");
 }
 
 void
-htmlPhaseTable(std::ostringstream &html, const CampaignAnalysis &doc,
+htmlPhaseTable(std::string &html, const CampaignAnalysis &doc,
                const Scenario &s)
 {
     bool any = false;
@@ -87,23 +86,24 @@ htmlPhaseTable(std::ostringstream &html, const CampaignAnalysis &doc,
         any = any || (r.machine == s.machine && r.variant == s.variant);
     if (!any)
         return;
-    html << "<h3>Phase trajectories</h3>\n"
-         << "<table>\n<tr><th>kernel</th><th>period [accesses]</th>"
-            "<th>phases</th><th>I (total)</th><th>P (total) "
-            "[Gflop/s]</th></tr>\n";
+    html.append("<h3>Phase trajectories</h3>\n"
+                "<table>\n<tr><th>kernel</th><th>period [accesses]</th>"
+                "<th>phases</th><th>I (total)</th><th>P (total) "
+                "[Gflop/s]</th></tr>\n");
     for (const PhaseRow &r : doc.phases) {
         if (r.machine != s.machine || r.variant != s.variant)
             continue;
         const PhaseTrajectory &t = r.trajectory;
-        html << "<tr><td>"
-             << escapeXml(t.kernel + " " + t.sizeLabel + " (" +
-                           t.protocol + ")")
-             << "</td><td>" << t.period << "</td><td>"
-             << t.points.size() << "</td><td>" << oiText(t.oi())
-             << "</td><td>" << formatSig(t.perf() / 1e9, 4)
-             << "</td></tr>\n";
+        html.append("<tr><td>")
+            .append(escapeXml(t.kernel + " " + t.sizeLabel + " (" +
+                              t.protocol + ")"))
+            .append("</td><td>").append(std::to_string(t.period))
+            .append("</td><td>").append(std::to_string(t.points.size()))
+            .append("</td><td>").append(oiText(t.oi()))
+            .append("</td><td>").append(formatSig(t.perf() / 1e9, 4))
+            .append("</td></tr>\n");
     }
-    html << "</table>\n";
+    html.append("</table>\n");
 }
 
 } // namespace
@@ -159,32 +159,34 @@ render(const CampaignAnalysis &doc, const std::string &name)
     // Matches writeAnalysisJson's framing (trailing newline).
     artifacts.json = encodeAnalysis(doc) + "\n";
 
-    std::ostringstream html;
-    html << "<!DOCTYPE html>\n<html lang='en'>\n<head>\n"
-         << "<meta charset='utf-8'>\n<title>"
-         << escapeXml(doc.campaign) << " — roofline analysis</title>\n"
-         << "<style>\n"
-         << "body{font-family:system-ui,-apple-system,'Segoe UI',"
-            "sans-serif;background:#fcfcfb;color:#0b0b0b;margin:2rem "
-            "auto;max-width:960px;padding:0 1rem}\n"
-         << "h1{font-size:1.5rem}h2{font-size:1.15rem;margin-top:2rem}"
-            "h3{font-size:1rem}\n"
-         << "table{border-collapse:collapse;margin:0.75rem 0;"
-            "font-size:0.85rem}\n"
-         << "th,td{border:1px solid #e5e4e0;padding:0.3rem 0.6rem;"
-            "text-align:right}\n"
-         << "th{background:#f0efec}td:first-child,th:first-child"
-            "{text-align:left}\n"
-         << "svg{max-width:100%;height:auto}\n"
-         << ".meta{color:#52514e;font-size:0.85rem}\n"
-         << "</style>\n</head>\n<body>\n";
-    html << "<h1>" << escapeXml(doc.campaign)
-         << " — roofline analysis</h1>\n";
-    html << "<p class='meta'>" << doc.scenarios.size()
-         << " scenario(s), " << doc.kernels.size()
-         << " measurement(s), " << doc.phases.size()
-         << " phase trajectorie(s). Generated by roofline_report "
-            "(analysis.json schema v4).</p>\n";
+    std::string &html = artifacts.html;
+    html.append("<!DOCTYPE html>\n<html lang='en'>\n<head>\n"
+                "<meta charset='utf-8'>\n<title>")
+        .append(escapeXml(doc.campaign))
+        .append(" — roofline analysis</title>\n"
+                "<style>\n"
+                "body{font-family:system-ui,-apple-system,'Segoe UI',"
+                "sans-serif;background:#fcfcfb;color:#0b0b0b;margin:2rem "
+                "auto;max-width:960px;padding:0 1rem}\n"
+                "h1{font-size:1.5rem}h2{font-size:1.15rem;margin-top:2rem}"
+                "h3{font-size:1rem}\n"
+                "table{border-collapse:collapse;margin:0.75rem 0;"
+                "font-size:0.85rem}\n"
+                "th,td{border:1px solid #e5e4e0;padding:0.3rem 0.6rem;"
+                "text-align:right}\n"
+                "th{background:#f0efec}td:first-child,th:first-child"
+                "{text-align:left}\n"
+                "svg{max-width:100%;height:auto}\n"
+                ".meta{color:#52514e;font-size:0.85rem}\n"
+                "</style>\n</head>\n<body>\n");
+    html.append("<h1>").append(escapeXml(doc.campaign))
+        .append(" — roofline analysis</h1>\n");
+    html.append("<p class='meta'>")
+        .append(std::to_string(doc.scenarios.size()))
+        .append(" scenario(s), ").append(std::to_string(doc.kernels.size()))
+        .append(" measurement(s), ").append(std::to_string(doc.phases.size()))
+        .append(" phase trajectorie(s). Generated by roofline_report "
+                "(analysis.json schema v4).</p>\n");
 
     for (size_t si = 0; si < doc.scenarios.size(); ++si) {
         const Scenario &s = doc.scenarios[si];
@@ -195,19 +197,18 @@ render(const CampaignAnalysis &doc, const std::string &name)
         artifacts.svgs.emplace_back(stem + ".svg",
                                     renderRooflineSvg(plot, phases));
 
-        html << "<h2>" << escapeXml(s.machine) << ", "
-             << escapeXml(s.variant) << "</h2>\n";
-        html << "<p class='meta'>peak "
-             << formatFlopRate(s.model.peakCompute()) << ", "
-             << formatByteRate(s.model.peakBandwidth()) << ", ridge "
-             << formatSig(s.model.ridgePoint(), 3)
-             << " flops/byte</p>\n";
-        html << artifacts.svgs.back().second;
+        html.append("<h2>").append(escapeXml(s.machine)).append(", ")
+            .append(escapeXml(s.variant)).append("</h2>\n");
+        html.append("<p class='meta'>peak ")
+            .append(formatFlopRate(s.model.peakCompute())).append(", ")
+            .append(formatByteRate(s.model.peakBandwidth()))
+            .append(", ridge ").append(formatSig(s.model.ridgePoint(), 3))
+            .append(" flops/byte</p>\n");
+        html.append(artifacts.svgs.back().second);
         htmlKernelTable(html, doc, s);
         htmlPhaseTable(html, doc, s);
     }
-    html << "</body>\n</html>\n";
-    artifacts.html = html.str();
+    html.append("</body>\n</html>\n");
     return artifacts;
 }
 

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
-#include <sstream>
 
 #include "support/csv.hh"
 #include "support/escape.hh"
 #include "support/logging.hh"
+#include "support/number_format.hh"
 #include "support/units.hh"
 
 namespace rfl::analysis
@@ -30,12 +30,21 @@ constexpr const char *kPoint = "#eb6834";
 constexpr const char *kPhase = "#1baf7a";
 constexpr const char *kHardware = "#7b4bd6"; ///< silicon-row diamonds
 
+/** Every pixel coordinate prints with two decimals ("%.2f"). */
 std::string
 fmt(double v)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.2f", v);
-    return buf;
+    return fixedText(v, 2);
+}
+
+/** Append "x,y " of one polyline vertex. */
+void
+appendVertex(std::string &pts, double x, double y)
+{
+    appendFixed(pts, x, 2);
+    pts += ',';
+    appendFixed(pts, y, 2);
+    pts += ' ';
 }
 
 /** Log-log viewport: data ranges plus the pixel mapping. */
@@ -108,41 +117,61 @@ makeViewport(const roofline::RooflinePlot &plot,
 }
 
 void
-emitGrid(std::ostringstream &svg, const Viewport &v)
+emitGrid(std::string &svg, const Viewport &v)
 {
     // Decade gridlines with labels; recessive so marks stay dominant.
     for (int e = static_cast<int>(std::ceil(v.lxLo));
          e <= static_cast<int>(std::floor(v.lxHi)); ++e) {
         const double x = v.px(std::pow(10.0, e));
-        svg << "<line x1='" << fmt(x) << "' y1='" << fmt(v.y0)
-            << "' x2='" << fmt(x) << "' y2='" << fmt(v.y0 + v.h)
-            << "' stroke='" << kGrid << "' stroke-width='1'/>\n";
-        svg << "<text x='" << fmt(x) << "' y='"
-            << fmt(v.y0 + v.h + 18)
-            << "' text-anchor='middle' class='tick'>"
-            << formatSig(std::pow(10.0, e), 3) << "</text>\n";
+        svg.append("<line x1='").append(fmt(x))
+            .append("' y1='").append(fmt(v.y0))
+            .append("' x2='").append(fmt(x))
+            .append("' y2='").append(fmt(v.y0 + v.h))
+            .append("' stroke='").append(kGrid)
+            .append("' stroke-width='1'/>\n");
+        svg.append("<text x='").append(fmt(x))
+            .append("' y='").append(fmt(v.y0 + v.h + 18))
+            .append("' text-anchor='middle' class='tick'>")
+            .append(formatSig(std::pow(10.0, e), 3))
+            .append("</text>\n");
     }
     for (int e = static_cast<int>(std::ceil(v.lyLo));
          e <= static_cast<int>(std::floor(v.lyHi)); ++e) {
         const double y = v.py(std::pow(10.0, e));
-        svg << "<line x1='" << fmt(v.x0) << "' y1='" << fmt(y)
-            << "' x2='" << fmt(v.x0 + v.w) << "' y2='" << fmt(y)
-            << "' stroke='" << kGrid << "' stroke-width='1'/>\n";
-        svg << "<text x='" << fmt(v.x0 - 8) << "' y='" << fmt(y + 4)
-            << "' text-anchor='end' class='tick'>"
-            << formatSig(std::pow(10.0, e) / 1e9, 3) << "</text>\n";
+        svg.append("<line x1='").append(fmt(v.x0))
+            .append("' y1='").append(fmt(y))
+            .append("' x2='").append(fmt(v.x0 + v.w))
+            .append("' y2='").append(fmt(y))
+            .append("' stroke='").append(kGrid)
+            .append("' stroke-width='1'/>\n");
+        svg.append("<text x='").append(fmt(v.x0 - 8))
+            .append("' y='").append(fmt(y + 4))
+            .append("' text-anchor='end' class='tick'>")
+            .append(formatSig(std::pow(10.0, e) / 1e9, 3))
+            .append("</text>\n");
     }
 }
 
 /** Polyline through y(x) sampled log-uniformly; splits at gaps. */
 void
-emitCurve(std::ostringstream &svg, const Viewport &v,
+emitCurve(std::string &svg, const Viewport &v,
           const std::function<double(double)> &fy, const char *color,
           double width, bool dashed)
 {
     constexpr int n = 128;
-    std::ostringstream pts;
-    bool any = false;
+    std::string pts;
+    auto flush = [&] {
+        if (pts.empty())
+            return;
+        svg.append("<polyline points='").append(pts)
+            .append("' fill='none' stroke='").append(color)
+            .append("' stroke-width='");
+        appendSig(svg, width, kStreamDigits);
+        svg.append("'")
+            .append(dashed ? " stroke-dasharray='5 4'" : "")
+            .append("/>\n");
+        pts.clear();
+    };
     for (int i = 0; i < n; ++i) {
         const double f = static_cast<double>(i) / (n - 1);
         const double x =
@@ -150,26 +179,12 @@ emitCurve(std::ostringstream &svg, const Viewport &v,
         const double y = fy(x);
         if (!(y > 0) || std::log10(y) > v.lyHi ||
             std::log10(y) < v.lyLo) {
-            if (any) {
-                svg << "<polyline points='" << pts.str()
-                    << "' fill='none' stroke='" << color
-                    << "' stroke-width='" << width << "'"
-                    << (dashed ? " stroke-dasharray='5 4'" : "")
-                    << "/>\n";
-                pts.str("");
-                any = false;
-            }
+            flush();
             continue;
         }
-        pts << fmt(v.px(x)) << "," << fmt(v.py(y)) << " ";
-        any = true;
+        appendVertex(pts, v.px(x), v.py(y));
     }
-    if (any) {
-        svg << "<polyline points='" << pts.str()
-            << "' fill='none' stroke='" << color << "' stroke-width='"
-            << width << "'"
-            << (dashed ? " stroke-dasharray='5 4'" : "") << "/>\n";
-    }
+    flush();
 }
 
 } // namespace
@@ -182,35 +197,44 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
     const roofline::RooflineModel &model = plot.model();
     RFL_ASSERT(model.peakCompute() > 0 && model.peakBandwidth() > 0);
     const Viewport v = makeViewport(plot, phases, opts);
+    const std::string width = std::to_string(opts.width);
+    const std::string height = std::to_string(opts.height);
 
-    std::ostringstream svg;
-    svg << "<svg xmlns='http://www.w3.org/2000/svg' width='"
-        << opts.width << "' height='" << opts.height << "' viewBox='0 0 "
-        << opts.width << " " << opts.height << "'>\n";
-    svg << "<style>\n"
-        << "text{font-family:system-ui,-apple-system,'Segoe UI',"
-           "sans-serif;fill:" << kTextPrimary << ";font-size:12px}\n"
-        << ".tick{fill:" << kTextSecondary << ";font-size:11px}\n"
-        << ".title{font-size:15px;font-weight:600}\n"
-        << ".ceiling{fill:" << kTextSecondary << ";font-size:10px}\n"
-        << "</style>\n";
-    svg << "<rect width='" << opts.width << "' height='" << opts.height
-        << "' fill='" << kSurface << "'/>\n";
+    std::string svg;
+    svg.reserve(16 * 1024); // a roofline is 13-16 KB
+    svg.append("<svg xmlns='http://www.w3.org/2000/svg' width='")
+        .append(width).append("' height='").append(height)
+        .append("' viewBox='0 0 ").append(width).append(" ")
+        .append(height).append("'>\n");
+    svg.append("<style>\n")
+        .append("text{font-family:system-ui,-apple-system,'Segoe UI',"
+                "sans-serif;fill:")
+        .append(kTextPrimary).append(";font-size:12px}\n")
+        .append(".tick{fill:").append(kTextSecondary)
+        .append(";font-size:11px}\n")
+        .append(".title{font-size:15px;font-weight:600}\n")
+        .append(".ceiling{fill:").append(kTextSecondary)
+        .append(";font-size:10px}\n")
+        .append("</style>\n");
+    svg.append("<rect width='").append(width).append("' height='")
+        .append(height).append("' fill='").append(kSurface)
+        .append("'/>\n");
 
-    svg << "<text x='" << fmt(v.x0) << "' y='26' class='title'>"
-        << escapeXml(plot.title()) << "</text>\n";
+    svg.append("<text x='").append(fmt(v.x0))
+        .append("' y='26' class='title'>")
+        .append(escapeXml(plot.title())).append("</text>\n");
     emitGrid(svg, v);
 
     // Axis labels.
-    svg << "<text x='" << fmt(v.x0 + v.w / 2) << "' y='"
-        << fmt(v.y0 + v.h + 40)
-        << "' text-anchor='middle' class='tick'>operational intensity "
-           "[flops/byte]</text>\n";
-    svg << "<text x='18' y='" << fmt(v.y0 + v.h / 2)
-        << "' text-anchor='middle' class='tick' transform='rotate(-90 "
-           "18 "
-        << fmt(v.y0 + v.h / 2)
-        << ")'>performance [Gflop/s]</text>\n";
+    svg.append("<text x='").append(fmt(v.x0 + v.w / 2))
+        .append("' y='").append(fmt(v.y0 + v.h + 40))
+        .append("' text-anchor='middle' class='tick'>operational "
+                "intensity [flops/byte]</text>\n");
+    svg.append("<text x='18' y='").append(fmt(v.y0 + v.h / 2))
+        .append("' text-anchor='middle' class='tick' "
+                "transform='rotate(-90 18 ")
+        .append(fmt(v.y0 + v.h / 2))
+        .append(")'>performance [Gflop/s]</text>\n");
 
     // Inner ceilings first, the outer roof last so it stays on top.
     for (const roofline::Ceiling &c : model.computeCeilings()) {
@@ -223,11 +247,11 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
             kTextSecondary, 1.0, true);
         if (std::log10(value) <= v.lyHi &&
             std::log10(value) >= v.lyLo) {
-            svg << "<text x='" << fmt(v.x0 + v.w - 4) << "' y='"
-                << fmt(v.py(value) - 4)
-                << "' text-anchor='end' class='ceiling'>"
-                << escapeXml(c.name) << " ("
-                << formatFlopRate(value) << ")</text>\n";
+            svg.append("<text x='").append(fmt(v.x0 + v.w - 4))
+                .append("' y='").append(fmt(v.py(value) - 4))
+                .append("' text-anchor='end' class='ceiling'>")
+                .append(escapeXml(c.name)).append(" (")
+                .append(formatFlopRate(value)).append(")</text>\n");
         }
     }
     size_t bw_index = 0;
@@ -248,10 +272,11 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
                                (v.lxHi - v.lxLo));
         const double y_at = x_at * value;
         if (std::log10(y_at) >= v.lyLo && std::log10(y_at) <= v.lyHi) {
-            svg << "<text x='" << fmt(v.px(x_at) + 4) << "' y='"
-                << fmt(v.py(y_at) - 6) << "' class='ceiling'>"
-                << escapeXml(b.name) << " (" << formatByteRate(value)
-                << ")</text>\n";
+            svg.append("<text x='").append(fmt(v.px(x_at) + 4))
+                .append("' y='").append(fmt(v.py(y_at) - 6))
+                .append("' class='ceiling'>").append(escapeXml(b.name))
+                .append(" (").append(formatByteRate(value))
+                .append(")</text>\n");
         }
     }
     emitCurve(
@@ -260,45 +285,46 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
     // Ridge-point annotation on the roof.
     const double ridge = model.ridgePoint();
     if (v.contains(ridge, model.peakCompute())) {
-        svg << "<text x='" << fmt(v.px(ridge)) << "' y='"
-            << fmt(v.py(model.peakCompute()) - 8)
-            << "' text-anchor='middle' class='ceiling'>ridge "
-            << formatSig(ridge, 3) << " f/B</text>\n";
+        svg.append("<text x='").append(fmt(v.px(ridge)))
+            .append("' y='").append(fmt(v.py(model.peakCompute()) - 8))
+            .append("' text-anchor='middle' class='ceiling'>ridge ")
+            .append(formatSig(ridge, 3)).append(" f/B</text>\n");
     }
 
     // Phase trajectories: connected interval paths under the points.
     for (const PhasePath &path : phases) {
-        std::ostringstream pts;
-        size_t drawn = 0;
+        std::string pts;
         double first_x = 0, first_y = 0;
         for (const PhasePoint &p : path.points) {
             if (!plottable(p.oi, p.perf))
                 continue;
-            if (drawn == 0) {
+            if (pts.empty()) {
                 first_x = v.px(p.oi);
                 first_y = v.py(p.perf);
             }
-            pts << fmt(v.px(p.oi)) << "," << fmt(v.py(p.perf)) << " ";
-            ++drawn;
+            appendVertex(pts, v.px(p.oi), v.py(p.perf));
         }
-        if (drawn == 0)
+        if (pts.empty())
             continue;
-        svg << "<polyline points='" << pts.str()
-            << "' fill='none' stroke='" << kPhase
-            << "' stroke-width='1.5' opacity='0.9'/>\n";
+        svg.append("<polyline points='").append(pts)
+            .append("' fill='none' stroke='").append(kPhase)
+            .append("' stroke-width='1.5' opacity='0.9'/>\n");
         for (const PhasePoint &p : path.points) {
             if (!plottable(p.oi, p.perf))
                 continue;
-            svg << "<circle cx='" << fmt(v.px(p.oi)) << "' cy='"
-                << fmt(v.py(p.perf)) << "' r='3' fill='" << kPhase
-                << "' stroke='" << kSurface << "' stroke-width='1'/>\n";
+            svg.append("<circle cx='").append(fmt(v.px(p.oi)))
+                .append("' cy='").append(fmt(v.py(p.perf)))
+                .append("' r='3' fill='").append(kPhase)
+                .append("' stroke='").append(kSurface)
+                .append("' stroke-width='1'/>\n");
         }
         // Inline style, not a fill attribute: the .ceiling class rule
         // would override a presentation attribute and gray the label.
-        svg << "<text x='" << fmt(first_x + 6) << "' y='"
-            << fmt(first_y + 14) << "' class='ceiling' style='fill:"
-            << kPhase << "'>" << escapeXml(path.label)
-            << " (phases)</text>\n";
+        svg.append("<text x='").append(fmt(first_x + 6))
+            .append("' y='").append(fmt(first_y + 14))
+            .append("' class='ceiling' style='fill:").append(kPhase)
+            .append("'>").append(escapeXml(path.label))
+            .append(" (phases)</text>\n");
     }
 
     // Kernel points: marker + direct label. Simulated rows stay the
@@ -310,22 +336,28 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
             continue;
         const double x = v.px(p.oi), y = v.py(p.perf);
         if (p.hardware) {
-            svg << "<path d='M " << fmt(x) << " " << fmt(y - 6) << " L "
-                << fmt(x + 6) << " " << fmt(y) << " L " << fmt(x) << " "
-                << fmt(y + 6) << " L " << fmt(x - 6) << " " << fmt(y)
-                << " Z' fill='" << kHardware << "' stroke='" << kSurface
-                << "' stroke-width='2'/>\n";
+            svg.append("<path d='M ").append(fmt(x)).append(" ")
+                .append(fmt(y - 6)).append(" L ").append(fmt(x + 6))
+                .append(" ").append(fmt(y)).append(" L ")
+                .append(fmt(x)).append(" ").append(fmt(y + 6))
+                .append(" L ").append(fmt(x - 6)).append(" ")
+                .append(fmt(y)).append(" Z' fill='").append(kHardware)
+                .append("' stroke='").append(kSurface)
+                .append("' stroke-width='2'/>\n");
         } else {
-            svg << "<circle cx='" << fmt(x) << "' cy='" << fmt(y)
-                << "' r='4.5' fill='" << kPoint << "' stroke='"
-                << kSurface << "' stroke-width='2'/>\n";
+            svg.append("<circle cx='").append(fmt(x))
+                .append("' cy='").append(fmt(y))
+                .append("' r='4.5' fill='").append(kPoint)
+                .append("' stroke='").append(kSurface)
+                .append("' stroke-width='2'/>\n");
         }
-        svg << "<text x='" << fmt(x + 8) << "' y='" << fmt(y + 4)
-            << "'>" << escapeXml(p.label) << "</text>\n";
+        svg.append("<text x='").append(fmt(x + 8))
+            .append("' y='").append(fmt(y + 4)).append("'>")
+            .append(escapeXml(p.label)).append("</text>\n");
     }
 
-    svg << "</svg>\n";
-    return svg.str();
+    svg.append("</svg>\n");
+    return svg;
 }
 
 std::string

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <numeric>
@@ -24,6 +23,7 @@
 #include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/number_format.hh"
 #include "support/thread_pool.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/resource.hh"
@@ -86,43 +86,7 @@ jobCpuHistogram(const char *kind)
         {{"kind", kind}});
 }
 
-/**
- * A stage span that also brackets the stage with
- * getrusage(RUSAGE_THREAD): when tracing is active the span carries
- * the stage's CPU seconds and fault counts as attrs, correlating the
- * trace tree with what the stage cost the machine. Costs two rusage
- * syscalls per *traced* stage and nothing extra when untraced beyond
- * the snapshot at construction.
- */
-class StageSpan
-{
-  public:
-    explicit StageSpan(const char *name) : span_(name) {}
-
-    void attr(std::string key, std::string value)
-    {
-        span_.attr(std::move(key), std::move(value));
-    }
-
-    /** What the stage has cost this thread so far. */
-    telemetry::ResourceDelta usage() const { return usage_.delta(); }
-
-    ~StageSpan()
-    {
-        if (!span_.active())
-            return;
-        const telemetry::ResourceDelta d = usage_.delta();
-        char cpu[32];
-        std::snprintf(cpu, sizeof(cpu), "%.6f", d.cpuSeconds());
-        span_.attr("cpu_s", cpu);
-        span_.attr("maj_faults", std::to_string(d.majorFaults));
-        span_.attr("min_faults", std::to_string(d.minorFaults));
-    }
-
-  private:
-    telemetry::Span span_;
-    telemetry::ScopedThreadUsage usage_;
-};
+using telemetry::StageSpan;
 
 /**
  * Between-stage seam of a job: deadline check plus named fault
@@ -706,7 +670,7 @@ CampaignExecutor::run(const CampaignSpec &spec,
             span.attr("job", std::to_string(id));
             span.attr("machine",
                       spec.machines()[job.machineIndex].label);
-            // A RUSAGE_THREAD bracket on the job's thread (a pool
+            // A thread-usage bracket on the job's thread (a pool
             // worker, or this thread for serial native jobs) is the
             // job's own consumption regardless of concurrency. A cold
             // ceiling also runs parts on helper threads; executeJob
@@ -721,10 +685,7 @@ CampaignExecutor::run(const CampaignSpec &spec,
             } else {
                 telemetry::ResourceDelta &res = run.results[id].resources;
                 res.add(usage.delta());
-                char cpu[32];
-                std::snprintf(cpu, sizeof(cpu), "%.6f",
-                              res.cpuSeconds());
-                span.attr("cpu_s", cpu);
+                span.attr("cpu_s", fixedText(res.cpuSeconds(), 6));
                 jobCpuHistogram(jobKindName(job.kind))
                     .observe(res.cpuSeconds());
                 telemetry::Registry::global()

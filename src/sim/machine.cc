@@ -214,7 +214,7 @@ Machine::prefetchLine(int core, uint64_t line_addr, int level)
     // Locate the closest copy without disturbing demand statistics.
     bool from_dram = false;
     const bool in_l2 = level <= 1 && l2_[core]->contains(line_addr);
-    if (!in_l2 && !(level == 2 && l2_[core]->contains(line_addr))) {
+    if (!in_l2) {
         if (!l3_[socket]->contains(line_addr)) {
             const uint64_t byte_addr = line_addr << lineShift_;
             const int owner = homeSocket(byte_addr, socket);

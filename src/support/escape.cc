@@ -1,16 +1,20 @@
 #include "support/escape.hh"
 
-#include <cstdio>
-
 namespace rfl
 {
 
-std::string
-escapeJson(const std::string &s)
+void
+appendEscapedJson(std::string &out, const std::string &s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+    static const char kHex[] = "0123456789abcdef";
+    // Copy runs of bytes that need no escape in one append each.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -18,16 +22,20 @@ escapeJson(const std::string &s)
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += kHex[c >> 4];
+            out += kHex[c & 0xf];
         }
     }
+    out.append(s, run, s.size() - run);
+}
+
+std::string
+escapeJson(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscapedJson(out, s);
     return out;
 }
 

@@ -20,6 +20,9 @@ namespace rfl
  */
 std::string escapeJson(const std::string &s);
 
+/** escapeJson(@p s) appended to @p out. */
+void appendEscapedJson(std::string &out, const std::string &s);
+
 /**
  * Escape @p text for XML/HTML element content and double-quoted
  * attributes (&, <, >, ").

@@ -2,12 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "support/escape.hh"
 #include "support/logging.hh"
+#include "support/number_format.hh"
 
 namespace rfl
 {
@@ -15,16 +14,15 @@ namespace rfl
 namespace
 {
 
-std::string
-numberToText(double v)
+void
+appendNumber(std::string &out, double v)
 {
     if (std::isnan(v))
-        return "nan";
-    if (std::isinf(v))
-        return v > 0 ? "inf" : "-inf";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+        out += "nan";
+    else if (std::isinf(v))
+        out += v > 0 ? "inf" : "-inf";
+    else
+        appendSig(out, v, kRoundTripDigits);
 }
 
 /**
@@ -352,41 +350,51 @@ Json::has(const std::string &key) const
 std::string
 Json::dump() const
 {
-    std::ostringstream out;
+    std::string out;
+    dumpTo(out);
+    return out;
+}
+
+void
+Json::dumpTo(std::string &out) const
+{
     switch (kind_) {
       case Kind::Null:
-        out << "null";
+        out += "null";
         break;
       case Kind::Bool:
-        out << (bool_ ? "true" : "false");
+        out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        out << numberToText(num_);
+        appendNumber(out, num_);
         break;
       case Kind::String:
-        out << '"' << escapeJson(str_) << '"';
+        out += '"';
+        appendEscapedJson(out, str_);
+        out += '"';
         break;
       case Kind::Array:
-        out << '[';
+        out += '[';
         for (size_t i = 0; i < arr_.size(); ++i) {
             if (i)
-                out << ',';
-            out << arr_[i].dump();
+                out += ',';
+            arr_[i].dumpTo(out);
         }
-        out << ']';
+        out += ']';
         break;
       case Kind::Object:
-        out << '{';
+        out += '{';
         for (size_t i = 0; i < obj_.size(); ++i) {
             if (i)
-                out << ',';
-            out << '"' << escapeJson(obj_[i].first)
-                << "\":" << obj_[i].second.dump();
+                out += ',';
+            out += '"';
+            appendEscapedJson(out, obj_[i].first);
+            out += "\":";
+            obj_[i].second.dumpTo(out);
         }
-        out << '}';
+        out += '}';
         break;
     }
-    return out.str();
 }
 
 Json

@@ -4,9 +4,10 @@
  * analysis.json and the service's bodies.
  *
  * A deliberately small JSON subset — objects, arrays, strings, numbers,
- * booleans, null. Numbers round-trip bit-exactly ("%.17g"); NaN and
- * infinity are emitted as bare nan/inf tokens (accepted back by the
- * parser), since cached measurements may carry NaN analytic traffic.
+ * booleans, null. Numbers round-trip bit-exactly ("%.17g", written by
+ * support/number_format); NaN and infinity are emitted as bare nan/inf
+ * tokens (accepted back by the parser), since cached measurements may
+ * carry NaN analytic traffic.
  *
  * Every document may come from outside the program, so reading never
  * aborts: bad syntax, a missing member or a wrong-kind value throws
@@ -90,6 +91,9 @@ class Json
     static bool tryParse(const std::string &text, Json *out);
 
   private:
+    /** Append the compact rendering to @p out (see dump()). */
+    void dumpTo(std::string &out) const;
+
     /** Throw JsonError unless this value is of kind @p want. */
     void expectKind(Kind want) const;
 

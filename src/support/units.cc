@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 #include "support/logging.hh"
+#include "support/number_format.hh"
 
 namespace rfl
 {
@@ -22,9 +23,9 @@ formatScaled(double v, double base, const char *const *suffixes,
         scaled /= base;
         ++idx;
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2f %s%s", scaled, suffixes[idx], unit);
-    return buf;
+    std::string out = fixedText(scaled, 2);
+    out.append(" ").append(suffixes[idx]).append(unit);
+    return out;
 }
 
 } // namespace
@@ -60,24 +61,21 @@ formatByteRate(double bytes_per_sec)
 std::string
 formatSeconds(double seconds)
 {
-    char buf[64];
     if (seconds < 1e-6)
-        std::snprintf(buf, sizeof(buf), "%.1f ns", seconds * 1e9);
-    else if (seconds < 1e-3)
-        std::snprintf(buf, sizeof(buf), "%.2f us", seconds * 1e6);
-    else if (seconds < 1.0)
-        std::snprintf(buf, sizeof(buf), "%.2f ms", seconds * 1e3);
-    else
-        std::snprintf(buf, sizeof(buf), "%.3f s", seconds);
-    return buf;
+        return fixedText(seconds * 1e9, 1) + " ns";
+    if (seconds < 1e-3)
+        return fixedText(seconds * 1e6, 2) + " us";
+    if (seconds < 1.0)
+        return fixedText(seconds * 1e3, 2) + " ms";
+    return fixedText(seconds, 3) + " s";
 }
 
 std::string
 formatSig(double v, int digits)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
-    return buf;
+    std::string out;
+    appendSig(out, v, digits);
+    return out;
 }
 
 uint64_t

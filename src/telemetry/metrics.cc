@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "support/escape.hh"
 #include "support/logging.hh"
+#include "support/number_format.hh"
 
 namespace rfl::telemetry
 {
@@ -15,15 +14,14 @@ namespace rfl::telemetry
 namespace
 {
 
-/** %.17g like Json::dump (support/json): shortest round-trippable. */
-std::string
-formatNumber(double v)
+/** Round-trip digits like Json::dump (support/json). */
+void
+appendJsonNumber(std::string &out, double v)
 {
     if (!std::isfinite(v))
-        return "null"; // strict JSON; callers avoid non-finite values
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+        out += "null"; // strict JSON; callers avoid non-finite values
+    else
+        appendSig(out, v, kRoundTripDigits);
 }
 
 /** Prometheus label-value escaping: backslash, quote, newline. */
@@ -72,15 +70,15 @@ labelSuffixWith(const Labels &labels, const std::string &key,
     return labelSuffix(all);
 }
 
-/** Prometheus float: "+Inf" for infinity, %.17g otherwise. */
+/** Prometheus float: "+Inf" for infinity, round-trip digits otherwise. */
 std::string
 promNumber(double v)
 {
     if (std::isinf(v))
         return v > 0 ? "+Inf" : "-Inf";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendSig(out, v, kRoundTripDigits);
+    return out;
 }
 
 } // namespace
@@ -325,52 +323,55 @@ Registry::renderPrometheus()
     std::lock_guard<std::mutex> lock(mutex_);
     runCollectorsLocked();
 
-    std::ostringstream out;
+    std::string out;
     std::string lastFamily;
     for (const auto &[key, e] : metrics_) {
         if (e.name != lastFamily) {
             lastFamily = e.name;
             if (!e.help.empty())
-                out << "# HELP " << e.name << " " << e.help << "\n";
-            out << "# TYPE " << e.name << " "
-                << (e.kind == Kind::Counter
-                        ? "counter"
-                        : e.kind == Kind::Gauge ? "gauge"
-                                                : "histogram")
-                << "\n";
+                out.append("# HELP ").append(e.name).append(" ")
+                    .append(e.help).append("\n");
+            out.append("# TYPE ").append(e.name).append(" ")
+                .append(e.kind == Kind::Counter
+                            ? "counter"
+                            : e.kind == Kind::Gauge ? "gauge"
+                                                    : "histogram")
+                .append("\n");
         }
         const std::string labels = labelSuffix(e.labels);
         switch (e.kind) {
           case Kind::Counter:
-            out << e.name << labels << " " << e.counter->value()
-                << "\n";
+            out.append(e.name).append(labels).append(" ")
+                .append(std::to_string(e.counter->value())).append("\n");
             break;
           case Kind::Gauge:
-            out << e.name << labels << " "
-                << promNumber(e.gauge->value()) << "\n";
+            out.append(e.name).append(labels).append(" ")
+                .append(promNumber(e.gauge->value())).append("\n");
             break;
           case Kind::Histogram: {
             const Histogram &h = *e.histogram;
             uint64_t cum = 0;
             for (size_t i = 0; i < h.bounds().size(); ++i) {
                 cum += h.bucketCount(i);
-                out << e.name << "_bucket"
-                    << labelSuffixWith(e.labels, "le",
-                                       promNumber(h.bounds()[i]))
-                    << " " << cum << "\n";
+                out.append(e.name).append("_bucket")
+                    .append(labelSuffixWith(e.labels, "le",
+                                            promNumber(h.bounds()[i])))
+                    .append(" ").append(std::to_string(cum)).append("\n");
             }
-            out << e.name << "_bucket"
-                << labelSuffixWith(e.labels, "le", "+Inf") << " "
-                << h.count() << "\n";
-            out << e.name << "_sum" << labels << " "
-                << promNumber(h.sum()) << "\n";
-            out << e.name << "_count" << labels << " " << h.count()
-                << "\n";
+            out.append(e.name).append("_bucket")
+                .append(labelSuffixWith(e.labels, "le", "+Inf"))
+                .append(" ").append(std::to_string(h.count()))
+                .append("\n");
+            out.append(e.name).append("_sum").append(labels).append(" ")
+                .append(promNumber(h.sum())).append("\n");
+            out.append(e.name).append("_count").append(labels)
+                .append(" ").append(std::to_string(h.count()))
+                .append("\n");
             break;
           }
         }
     }
-    return out.str();
+    return out;
 }
 
 std::string
@@ -381,8 +382,7 @@ Registry::renderJsonGrouped()
 
     // Group by the naming convention "rfl_<group>_<rest>"; metrics not
     // matching it land in a group named by their first token.
-    std::ostringstream out;
-    out << "{";
+    std::string out = "{";
     std::string openGroup;
     bool firstGroup = true;
     bool firstMember = true;
@@ -404,41 +404,49 @@ Registry::renderJsonGrouped()
 
         if (group != openGroup) {
             if (!openGroup.empty())
-                out << "}";
+                out += "}";
             if (!firstGroup)
-                out << ",";
+                out += ",";
             firstGroup = false;
-            out << "\"" << escapeJson(group) << "\":{";
+            out += "\"";
+            appendEscapedJson(out, group);
+            out += "\":{";
             openGroup = group;
             firstMember = true;
         }
         if (!firstMember)
-            out << ",";
+            out += ",";
         firstMember = false;
-        out << "\"" << escapeJson(member) << "\":";
+        out += "\"";
+        appendEscapedJson(out, member);
+        out += "\":";
         switch (e.kind) {
           case Kind::Counter:
-            out << e.counter->value();
+            out += std::to_string(e.counter->value());
             break;
           case Kind::Gauge:
-            out << formatNumber(e.gauge->value());
+            appendJsonNumber(out, e.gauge->value());
             break;
           case Kind::Histogram: {
             const Histogram &h = *e.histogram;
-            out << "{\"count\":" << h.count()
-                << ",\"sum\":" << formatNumber(h.sum())
-                << ",\"p50\":" << formatNumber(h.quantile(0.5))
-                << ",\"p90\":" << formatNumber(h.quantile(0.9))
-                << ",\"p99\":" << formatNumber(h.quantile(0.99))
-                << "}";
+            out.append("{\"count\":").append(std::to_string(h.count()))
+                .append(",\"sum\":");
+            appendJsonNumber(out, h.sum());
+            out += ",\"p50\":";
+            appendJsonNumber(out, h.quantile(0.5));
+            out += ",\"p90\":";
+            appendJsonNumber(out, h.quantile(0.9));
+            out += ",\"p99\":";
+            appendJsonNumber(out, h.quantile(0.99));
+            out += "}";
             break;
           }
         }
     }
     if (!openGroup.empty())
-        out << "}";
-    out << "}";
-    return out.str();
+        out += "}";
+    out += "}";
+    return out;
 }
 
 } // namespace rfl::telemetry

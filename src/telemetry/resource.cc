@@ -1,9 +1,11 @@
 #include "telemetry/resource.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <sys/resource.h>
+
+#include "support/number_format.hh"
 
 namespace rfl::telemetry
 {
@@ -42,6 +44,10 @@ ThreadUsage::now()
     u.maxrssBytes = static_cast<uint64_t>(ru.ru_maxrss) * 1024;
     u.minorFaults = static_cast<uint64_t>(ru.ru_minflt);
     u.majorFaults = static_cast<uint64_t>(ru.ru_majflt);
+    timespec cpu{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu);
+    u.cpuSeconds = static_cast<double>(cpu.tv_sec) +
+                   static_cast<double>(cpu.tv_nsec) * 1e-9;
     return u;
 }
 
@@ -77,10 +83,14 @@ ScopedThreadUsage::delta() const
 {
     const ThreadUsage end = ThreadUsage::now();
     ResourceDelta d;
-    d.cpuUserSeconds =
+    const double cpu = std::max(0.0, end.cpuSeconds - start_.cpuSeconds);
+    const double user =
         std::max(0.0, end.utimeSeconds - start_.utimeSeconds);
-    d.cpuSystemSeconds =
+    const double system =
         std::max(0.0, end.stimeSeconds - start_.stimeSeconds);
+    d.cpuUserSeconds =
+        user + system > 0.0 ? cpu * user / (user + system) : cpu;
+    d.cpuSystemSeconds = std::max(0.0, cpu - d.cpuUserSeconds);
     d.maxrssBytes = end.maxrssBytes;
     d.minorFaults = end.minorFaults >= start_.minorFaults
                         ? end.minorFaults - start_.minorFaults
@@ -89,6 +99,16 @@ ScopedThreadUsage::delta() const
                         ? end.majorFaults - start_.majorFaults
                         : 0;
     return d;
+}
+
+StageSpan::~StageSpan()
+{
+    if (!span_.active())
+        return;
+    const ResourceDelta d = usage_.delta();
+    span_.attr("cpu_s", fixedText(d.cpuSeconds(), 6));
+    span_.attr("maj_faults", std::to_string(d.majorFaults));
+    span_.attr("min_faults", std::to_string(d.minorFaults));
 }
 
 } // namespace rfl::telemetry

@@ -4,11 +4,19 @@
  *
  * Spans answer "where did the wall time go"; this answers the
  * orthogonal question — CPU seconds (user/system), peak RSS and page
- * faults — per executed campaign job. The mechanism is two
- * getrusage(RUSAGE_THREAD) calls bracketing the job: the executor
- * runs each job entirely on one worker thread, so the thread-scoped
- * deltas are exactly the job's own consumption even with many jobs in
- * flight (RUSAGE_SELF would smear all workers together).
+ * faults — per executed campaign job. The mechanism is two thread
+ * snapshots bracketing the job: the executor runs each job entirely on
+ * one worker thread, so the thread-scoped deltas are exactly the job's
+ * own consumption even with many jobs in flight (process scope would
+ * smear all workers together).
+ *
+ * CPU seconds come from clock_gettime(CLOCK_THREAD_CPUTIME_ID), which
+ * is exact to the nanosecond. getrusage(RUSAGE_THREAD) supplies the
+ * fault counts, peak RSS and the user/system split, but its CPU times
+ * can advance in scheduler ticks (4 ms at HZ=250), which would read a
+ * millisecond stage as 0 or 4 ms. A delta's total is therefore the
+ * clock's, divided between user and system in the proportion
+ * getrusage reports (all user when getrusage saw no change).
  *
  * One caveat is inherent to the kernel interface: ru_maxrss is the
  * *process* high-water mark even under RUSAGE_THREAD, so it is
@@ -17,7 +25,8 @@
  * the process to its peak, meaningless to sum.
  *
  * ThreadUsage is a plain snapshot; ScopedThreadUsage is the RAII
- * bracket used at executor stage gates and around whole jobs.
+ * bracket used around whole jobs; StageSpan joins one to a trace span
+ * at executor stage gates.
  */
 
 #ifndef RFL_TELEMETRY_RESOURCE_HH
@@ -25,6 +34,9 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+
+#include "telemetry/span.hh"
 
 namespace rfl::telemetry
 {
@@ -37,8 +49,10 @@ struct ThreadUsage
     uint64_t maxrssBytes = 0;  ///< process peak RSS (see file comment)
     uint64_t minorFaults = 0;
     uint64_t majorFaults = 0;
+    /** user + system CPU at ns resolution (CLOCK_THREAD_CPUTIME_ID) */
+    double cpuSeconds = 0.0;
 
-    /** Snapshot the calling thread (getrusage(RUSAGE_THREAD)). */
+    /** Snapshot the calling thread (see file comment). */
     static ThreadUsage now();
 };
 
@@ -79,6 +93,35 @@ class ScopedThreadUsage
 
   private:
     ThreadUsage start_;
+};
+
+/**
+ * A trace span that also brackets its stage with a ScopedThreadUsage:
+ * when tracing is active the span carries the stage's CPU seconds
+ * ("cpu_s", six decimals) and fault counts ("maj_faults",
+ * "min_faults") as attrs, correlating the trace tree with what the
+ * stage cost the machine. Untraced, it costs one snapshot.
+ */
+class StageSpan
+{
+  public:
+    explicit StageSpan(const char *name) : span_(name) {}
+    ~StageSpan();
+
+    StageSpan(const StageSpan &) = delete;
+    StageSpan &operator=(const StageSpan &) = delete;
+
+    void attr(std::string key, std::string value)
+    {
+        span_.attr(std::move(key), std::move(value));
+    }
+
+    /** What the stage has cost this thread so far. */
+    ResourceDelta usage() const { return usage_.delta(); }
+
+  private:
+    Span span_;
+    ScopedThreadUsage usage_;
 };
 
 } // namespace rfl::telemetry

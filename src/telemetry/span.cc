@@ -1,7 +1,6 @@
 #include "telemetry/span.hh"
 
 #include <ostream>
-#include <sstream>
 
 #include "support/escape.hh"
 #include "telemetry/metrics.hh"
@@ -17,19 +16,26 @@ thread_local TraceScope *tl_scope = nullptr;
 /** Scope buffers flush once they hold this many finished spans. */
 constexpr size_t kFlushThreshold = 1024;
 
-/** One chrome trace "complete" (ph=X) event object. */
+/** Append one chrome trace "complete" (ph=X) event object. */
 void
-writeEvent(std::ostream &os, const SpanRecord &s)
+appendEvent(std::string &out, const SpanRecord &s)
 {
-    os << "{\"name\":\"" << escapeJson(s.name)
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
-       << ",\"ts\":" << s.startUs << ",\"dur\":" << s.durUs
-       << ",\"args\":{\"id\":" << s.id << ",\"parent\":" << s.parent;
+    out += "{\"name\":\"";
+    appendEscapedJson(out, s.name);
+    out.append("\",\"ph\":\"X\",\"pid\":1,\"tid\":")
+        .append(std::to_string(s.tid))
+        .append(",\"ts\":").append(std::to_string(s.startUs))
+        .append(",\"dur\":").append(std::to_string(s.durUs))
+        .append(",\"args\":{\"id\":").append(std::to_string(s.id))
+        .append(",\"parent\":").append(std::to_string(s.parent));
     for (const auto &[k, v] : s.attrs) {
-        os << ",\"" << escapeJson(k) << "\":\"" << escapeJson(v)
-           << "\"";
+        out += ",\"";
+        appendEscapedJson(out, k);
+        out += "\":\"";
+        appendEscapedJson(out, v);
+        out += '"';
     }
-    os << "}}";
+    out += "}}";
 }
 
 } // namespace
@@ -119,28 +125,30 @@ Tracer::droppedSpans() const
 std::string
 Tracer::renderChromeTrace() const
 {
-    std::ostringstream out;
-    out << "{\"traceEvents\":[";
-    const std::vector<SpanRecord> all = spans();
-    for (size_t i = 0; i < all.size(); ++i) {
+    std::string out = "{\"traceEvents\":[";
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t i = 0; i < spans_.size(); ++i) {
         if (i)
-            out << ",";
-        writeEvent(out, all[i]);
+            out += ',';
+        appendEvent(out, spans_[i]);
     }
-    out << "]}";
-    return out.str();
+    out += "]}";
+    return out;
 }
 
 void
 Tracer::writeTraceJsonl(std::ostream &os) const
 {
-    const std::vector<SpanRecord> all = spans();
-    os << "[\n";
-    for (size_t i = 0; i < all.size(); ++i) {
-        writeEvent(os, all[i]);
-        os << (i + 1 < all.size() ? ",\n" : "\n");
+    std::string out = "[\n";
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (size_t i = 0; i < spans_.size(); ++i) {
+            appendEvent(out, spans_[i]);
+            out += i + 1 < spans_.size() ? ",\n" : "\n";
+        }
     }
-    os << "]\n";
+    out += "]\n";
+    os << out;
 }
 
 // ----------------------------------------------------------- TraceScope

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "support/escape.hh"
 #include "support/logging.hh"
+#include "support/number_format.hh"
 
 namespace rfl::telemetry
 {
@@ -14,15 +14,15 @@ namespace rfl::telemetry
 namespace
 {
 
-/** Strict-JSON number: non-finite encodes as null. */
-std::string
-jsonNumber(double v)
+/** Strict-JSON number ("%.9g": a float's round-trip digits);
+ *  non-finite encodes as null. */
+void
+appendJsonNumber(std::string &out, double v)
 {
     if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
+        out += "null";
+    else
+        appendSig(out, v, 9);
 }
 
 /** {a="x",b="y"} (empty for no labels) — same shape as the registry. */
@@ -48,16 +48,15 @@ displayNumber(double v)
     if (!std::isfinite(v))
         return "-";
     const double a = std::fabs(v);
-    char buf[48];
     if (a >= 1e9)
-        std::snprintf(buf, sizeof(buf), "%.2fG", v / 1e9);
-    else if (a >= 1e6)
-        std::snprintf(buf, sizeof(buf), "%.2fM", v / 1e6);
-    else if (a >= 1e4)
-        std::snprintf(buf, sizeof(buf), "%.1fk", v / 1e3);
-    else
-        std::snprintf(buf, sizeof(buf), "%.4g", v);
-    return buf;
+        return fixedText(v / 1e9, 2) + "G";
+    if (a >= 1e6)
+        return fixedText(v / 1e6, 2) + "M";
+    if (a >= 1e4)
+        return fixedText(v / 1e3, 1) + "k";
+    std::string out;
+    appendSig(out, v, 4);
+    return out;
 }
 
 /**
@@ -69,10 +68,12 @@ displayNumber(double v)
 std::string
 sparklineSvg(const std::vector<float> &pts, int width, int height)
 {
-    std::ostringstream svg;
-    svg << "<svg viewBox=\"0 0 " << width << " " << height
-        << "\" width=\"" << width << "\" height=\"" << height
-        << "\" role=\"img\" preserveAspectRatio=\"none\">";
+    const std::string w = std::to_string(width);
+    const std::string h = std::to_string(height);
+    std::string svg;
+    svg.append("<svg viewBox=\"0 0 ").append(w).append(" ").append(h)
+        .append("\" width=\"").append(w).append("\" height=\"").append(h)
+        .append("\" role=\"img\" preserveAspectRatio=\"none\">");
     if (pts.size() >= 2) {
         float lo = pts[0], hi = pts[0];
         for (float v : pts) {
@@ -85,34 +86,35 @@ sparklineSvg(const std::vector<float> &pts, int width, int height)
         const float pad = span * 0.05f;
         lo -= pad;
         span += 2 * pad;
-        std::ostringstream line;
+        std::string path;
         for (size_t i = 0; i < pts.size(); ++i) {
             const double x = static_cast<double>(i) /
                              static_cast<double>(pts.size() - 1) *
                              width;
             const double y =
                 height - (pts[i] - lo) / span * (height - 4) - 2;
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.1f,%.1f ", x, y);
-            line << buf;
+            appendFixed(path, x, 1);
+            path += ',';
+            appendFixed(path, y, 1);
+            path += ' ';
         }
-        const std::string path = line.str();
         // Area fill closes to the bottom edge; the stroke reads the
         // trend, the fill anchors it to the baseline.
-        svg << "<polygon fill=\"var(--accent)\" opacity=\"0.12\" "
-            << "points=\"0," << height << " " << path << width << ","
-            << height << "\"/>";
-        svg << "<polyline fill=\"none\" stroke=\"var(--accent)\" "
-            << "stroke-width=\"2\" stroke-linejoin=\"round\" "
-            << "points=\"" << path << "\"/>";
+        svg.append("<polygon fill=\"var(--accent)\" opacity=\"0.12\" ")
+            .append("points=\"0,").append(h).append(" ").append(path)
+            .append(w).append(",").append(h).append("\"/>");
+        svg.append("<polyline fill=\"none\" stroke=\"var(--accent)\" ")
+            .append("stroke-width=\"2\" stroke-linejoin=\"round\" ")
+            .append("points=\"").append(path).append("\"/>");
     } else {
-        svg << "<line x1=\"0\" y1=\"" << height / 2 << "\" x2=\""
-            << width << "\" y2=\"" << height / 2
-            << "\" stroke=\"var(--grid)\" stroke-width=\"1\" "
-            << "stroke-dasharray=\"3 3\"/>";
+        const std::string mid = std::to_string(height / 2);
+        svg.append("<line x1=\"0\" y1=\"").append(mid)
+            .append("\" x2=\"").append(w).append("\" y2=\"").append(mid)
+            .append("\" stroke=\"var(--grid)\" stroke-width=\"1\" ")
+            .append("stroke-dasharray=\"3 3\"/>");
     }
-    svg << "</svg>";
-    return svg.str();
+    svg += "</svg>";
+    return svg;
 }
 
 } // namespace
@@ -323,30 +325,35 @@ std::string
 TimeSeriesSampler::renderSeriesJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream out;
-    out << "{\"kind\":\"rfl-series\",\"schema_version\":1"
-        << ",\"interval_seconds\":" << jsonNumber(opts_.intervalSeconds)
-        << ",\"capacity\":" << opts_.capacity
-        << ",\"samples\":" << samples_
-        << ",\"series\":[";
+    std::string out =
+        "{\"kind\":\"rfl-series\",\"schema_version\":1"
+        ",\"interval_seconds\":";
+    appendJsonNumber(out, opts_.intervalSeconds);
+    out.append(",\"capacity\":").append(std::to_string(opts_.capacity))
+        .append(",\"samples\":").append(std::to_string(samples_))
+        .append(",\"series\":[");
     bool first = true;
     for (const auto &[id, s] : series_) {
         if (!first)
-            out << ",";
+            out += ",";
         first = false;
-        out << "{\"name\":\"" << escapeJson(id) << "\",\"unit\":\""
-            << escapeJson(s.unit) << "\",\"last\":"
-            << jsonNumber(s.last) << ",\"points\":[";
+        out += "{\"name\":\"";
+        appendEscapedJson(out, id);
+        out += "\",\"unit\":\"";
+        appendEscapedJson(out, s.unit);
+        out += "\",\"last\":";
+        appendJsonNumber(out, s.last);
+        out += ",\"points\":[";
         const std::vector<float> pts = s.ordered();
         for (size_t i = 0; i < pts.size(); ++i) {
             if (i)
-                out << ",";
-            out << jsonNumber(pts[i]);
+                out += ",";
+            appendJsonNumber(out, pts[i]);
         }
-        out << "]}";
+        out += "]}";
     }
-    out << "]}";
-    return out.str();
+    out += "]}";
+    return out;
 }
 
 std::string

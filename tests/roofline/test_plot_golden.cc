@@ -135,7 +135,9 @@ TEST(PlotGolden, GlyphAlphabetCovers62Points)
     model.addBandwidthCeiling("stream", 10e9);
     RooflinePlot plot("glyphs", model);
     for (int i = 0; i < 63; ++i) {
-        plot.addPoint("p" + std::to_string(i), 0.25 * (1.0 + i * 0.1),
+        std::string label = "p";
+        label += std::to_string(i);
+        plot.addPoint(label, 0.25 * (1.0 + i * 0.1),
                       1e9 * (1.0 + i * 0.1));
     }
     const std::string ascii = plot.renderAscii();

@@ -1,20 +1,28 @@
 /** @file Tests for per-thread resource accounting (DESIGN.md §14). */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "telemetry/resource.hh"
+#include "telemetry/span.hh"
 
 namespace
 {
 
 using rfl::telemetry::ResourceDelta;
 using rfl::telemetry::ScopedThreadUsage;
+using rfl::telemetry::SpanRecord;
+using rfl::telemetry::StageSpan;
 using rfl::telemetry::ThreadUsage;
+using rfl::telemetry::TraceScope;
+using rfl::telemetry::Tracer;
 
 /** Burn roughly @p ms milliseconds of CPU on the calling thread. */
 void
@@ -99,6 +107,37 @@ TEST(Resource, ConcurrentBracketsEachSeeTheirOwnWork)
         EXPECT_GT(cpu[static_cast<size_t>(i)], 0.004) << "thread " << i;
         EXPECT_LT(cpu[static_cast<size_t>(i)], 0.25) << "thread " << i;
     }
+}
+
+TEST(Resource, StageSpanTimesAMillisecondStage)
+{
+    // getrusage's CPU times can move in 4 ms scheduler ticks, which
+    // read a short stage as 0 or 4 ms; the thread CPU clock must not.
+    // A 2 ms busy stage reports cpu_s > 0 and within 50% of its span's
+    // wall time. A preempted attempt runs less CPU than wall, so the
+    // test takes the best of a few attempts.
+    double best = 1e9;
+    for (int attempt = 0; attempt < 5 && best > 0.5; ++attempt) {
+        Tracer tracer;
+        {
+            const TraceScope scope(&tracer);
+            const StageSpan stage("busy");
+            burnCpu(2);
+        }
+        const std::vector<SpanRecord> spans = tracer.spans();
+        ASSERT_EQ(spans.size(), 1u);
+        std::string cpu;
+        for (const auto &[key, value] : spans[0].attrs)
+            if (key == "cpu_s")
+                cpu = value;
+        ASSERT_FALSE(cpu.empty());
+        const double cpuS = std::stod(cpu);
+        const double wallS = static_cast<double>(spans[0].durUs) * 1e-6;
+        EXPECT_GT(cpuS, 0.0);
+        ASSERT_GT(wallS, 0.0);
+        best = std::min(best, std::abs(cpuS - wallS) / wallS);
+    }
+    EXPECT_LE(best, 0.5);
 }
 
 TEST(Resource, DeltaAddSumsFlowsAndMaxesLevels)

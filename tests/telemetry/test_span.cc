@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,7 +166,9 @@ TEST(Tracer, CapBoundsRetainedSpansAndCountsDrops)
     {
         TraceScope scope(&tracer);
         for (int i = 0; i < 10; ++i) {
-            Span s("s" + std::to_string(i));
+            std::string name = "s";
+            name += std::to_string(i);
+            Span s(std::move(name));
             (void)s;
         }
     }
