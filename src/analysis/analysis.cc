@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "campaign/serialize.hh"
-#include "support/csv.hh"
+#include "support/escape.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
@@ -17,36 +17,160 @@ namespace rfl::analysis
 namespace
 {
 
-/** Strict-JSON number: non-finite values are emitted as null. */
-Json
-jsonNumber(double v)
+/**
+ * @name analysis.json writer
+ * Appends the document straight into one string, byte for byte what
+ * Json::dump renders for the equivalent tree: compact, members in the
+ * order written. Keys are plain identifiers and need no escaping.
+ */
+///@{
+
+/** Start member @p key of the object being written. */
+void
+member(std::string &out, const char *key)
 {
-    return std::isfinite(v) ? Json::makeNumber(v) : Json();
+    if (out.back() != '{')
+        out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
 }
 
-/** Inverse of jsonNumber: null decodes to +inf (only I can be inf). */
+void
+stringMember(std::string &out, const char *key, const std::string &v)
+{
+    member(out, key);
+    out += '"';
+    appendEscapedJson(out, v);
+    out += '"';
+}
+
+void
+numberMember(std::string &out, const char *key, double v)
+{
+    member(out, key);
+    appendJsonNumber(out, v);
+}
+
+/** Strict-JSON number: a non-finite value is written as null. */
+void
+strictNumberMember(std::string &out, const char *key, double v)
+{
+    member(out, key);
+    if (std::isfinite(v))
+        appendJsonNumber(out, v);
+    else
+        out += "null";
+}
+
+/** Member @p key: an array with one appendItem(out, item) per item. */
+template <typename T, typename AppendItem>
+void
+arrayMember(std::string &out, const char *key, const std::vector<T> &items,
+            AppendItem appendItem)
+{
+    member(out, key);
+    out += '[';
+    for (const T &item : items) {
+        if (out.back() != '[')
+            out += ',';
+        appendItem(out, item);
+    }
+    out += ']';
+}
+
+void
+appendCeiling(std::string &out, const roofline::Ceiling &c)
+{
+    out += '{';
+    stringMember(out, "name", c.name);
+    numberMember(out, "value", c.value);
+    out += '}';
+}
+
+void
+appendScenario(std::string &out, const Scenario &s)
+{
+    out += '{';
+    stringMember(out, "machine", s.machine);
+    stringMember(out, "variant", s.variant);
+    numberMember(out, "peak_flops", s.model.peakCompute());
+    numberMember(out, "peak_bandwidth", s.model.peakBandwidth());
+    numberMember(out, "ridge", s.model.ridgePoint());
+    arrayMember(out, "compute_ceilings", s.model.computeCeilings(),
+                appendCeiling);
+    arrayMember(out, "bandwidth_ceilings", s.model.bandwidthCeilings(),
+                appendCeiling);
+    out += '}';
+}
+
+void
+appendKernelRow(std::string &out, const KernelRow &r)
+{
+    out += '{';
+    stringMember(out, "machine", r.machine);
+    stringMember(out, "variant", r.variant);
+    stringMember(out, "kernel", r.kernel);
+    stringMember(out, "size", r.sizeLabel);
+    stringMember(out, "protocol", r.protocol);
+    numberMember(out, "cores", r.cores);
+    numberMember(out, "lanes", r.lanes);
+    numberMember(out, "flops", r.flops);
+    numberMember(out, "traffic_bytes", r.trafficBytes);
+    numberMember(out, "seconds", r.seconds);
+    stringMember(out, "backend", r.backend);
+    numberMember(out, "quality", r.quality);
+    member(out, "available");
+    out += r.available ? "true" : "false";
+    strictNumberMember(out, "oi", r.metrics.oi);
+    numberMember(out, "perf", r.metrics.perf);
+    numberMember(out, "attainable", r.metrics.attainable);
+    numberMember(out, "pct_roof", r.metrics.pctRoof);
+    numberMember(out, "pct_peak", r.metrics.pctPeak);
+    numberMember(out, "achieved_bandwidth", r.metrics.achievedBandwidth);
+    numberMember(out, "pct_peak_bw", r.metrics.pctPeakBandwidth);
+    stringMember(out, "bound", boundClassName(r.metrics.bound));
+    stringMember(out, "binding_ceiling", r.metrics.bindingCeiling);
+    out += '}';
+}
+
+void
+appendPhaseRow(std::string &out, const PhaseRow &r)
+{
+    const PhaseTrajectory &t = r.trajectory;
+    out += '{';
+    stringMember(out, "machine", r.machine);
+    stringMember(out, "variant", r.variant);
+    stringMember(out, "kernel", t.kernel);
+    stringMember(out, "size", t.sizeLabel);
+    stringMember(out, "protocol", t.protocol);
+    numberMember(out, "period", static_cast<double>(t.period));
+    numberMember(out, "total_flops", t.totalFlops);
+    numberMember(out, "total_traffic_bytes", t.totalTrafficBytes);
+    numberMember(out, "total_seconds", t.totalSeconds);
+    arrayMember(out, "points", t.points,
+                [](std::string &o, const PhasePoint &p) {
+                    o += '{';
+                    strictNumberMember(o, "oi", p.oi);
+                    numberMember(o, "perf", p.perf);
+                    numberMember(o, "flops", p.flops);
+                    numberMember(o, "traffic_bytes", p.trafficBytes);
+                    numberMember(o, "seconds", p.seconds);
+                    o += '}';
+                });
+    out += '}';
+}
+
+///@}
+
+/** Inverse of strictNumberMember: null decodes to +inf (only I can
+ *  be inf). */
 double
 numberField(const Json &j)
 {
     if (j.kind() == Json::Kind::Null)
         return std::numeric_limits<double>::infinity();
     return j.asNumber();
-}
-
-Json
-scenarioToJson(const Scenario &s)
-{
-    Json j = Json::makeObject();
-    j.set("machine", Json::makeString(s.machine));
-    j.set("variant", Json::makeString(s.variant));
-    j.set("peak_flops", Json::makeNumber(s.model.peakCompute()));
-    j.set("peak_bandwidth", Json::makeNumber(s.model.peakBandwidth()));
-    j.set("ridge", Json::makeNumber(s.model.ridgePoint()));
-    j.set("compute_ceilings",
-          campaign::ceilingsToJson(s.model.computeCeilings()));
-    j.set("bandwidth_ceilings",
-          campaign::ceilingsToJson(s.model.bandwidthCeilings()));
-    return j;
 }
 
 Scenario
@@ -58,37 +182,6 @@ scenarioFromJson(const Json &j)
     s.model = campaign::modelFromJson(j.at("compute_ceilings"),
                                       j.at("bandwidth_ceilings"));
     return s;
-}
-
-Json
-kernelRowToJson(const KernelRow &r)
-{
-    Json j = Json::makeObject();
-    j.set("machine", Json::makeString(r.machine));
-    j.set("variant", Json::makeString(r.variant));
-    j.set("kernel", Json::makeString(r.kernel));
-    j.set("size", Json::makeString(r.sizeLabel));
-    j.set("protocol", Json::makeString(r.protocol));
-    j.set("cores", Json::makeNumber(r.cores));
-    j.set("lanes", Json::makeNumber(r.lanes));
-    j.set("flops", Json::makeNumber(r.flops));
-    j.set("traffic_bytes", Json::makeNumber(r.trafficBytes));
-    j.set("seconds", Json::makeNumber(r.seconds));
-    j.set("backend", Json::makeString(r.backend));
-    j.set("quality", Json::makeNumber(r.quality));
-    j.set("available", Json::makeBool(r.available));
-    j.set("oi", jsonNumber(r.metrics.oi));
-    j.set("perf", Json::makeNumber(r.metrics.perf));
-    j.set("attainable", Json::makeNumber(r.metrics.attainable));
-    j.set("pct_roof", Json::makeNumber(r.metrics.pctRoof));
-    j.set("pct_peak", Json::makeNumber(r.metrics.pctPeak));
-    j.set("achieved_bandwidth",
-          Json::makeNumber(r.metrics.achievedBandwidth));
-    j.set("pct_peak_bw", Json::makeNumber(r.metrics.pctPeakBandwidth));
-    j.set("bound",
-          Json::makeString(boundClassName(r.metrics.bound)));
-    j.set("binding_ceiling", Json::makeString(r.metrics.bindingCeiling));
-    return j;
 }
 
 KernelRow
@@ -127,34 +220,6 @@ kernelRowFromJson(const Json &j)
                                         : BoundClass::ComputeBound;
     r.metrics.bindingCeiling = j.at("binding_ceiling").asString();
     return r;
-}
-
-Json
-phaseRowToJson(const PhaseRow &r)
-{
-    const PhaseTrajectory &t = r.trajectory;
-    Json j = Json::makeObject();
-    j.set("machine", Json::makeString(r.machine));
-    j.set("variant", Json::makeString(r.variant));
-    j.set("kernel", Json::makeString(t.kernel));
-    j.set("size", Json::makeString(t.sizeLabel));
-    j.set("protocol", Json::makeString(t.protocol));
-    j.set("period", Json::makeNumber(static_cast<double>(t.period)));
-    j.set("total_flops", Json::makeNumber(t.totalFlops));
-    j.set("total_traffic_bytes", Json::makeNumber(t.totalTrafficBytes));
-    j.set("total_seconds", Json::makeNumber(t.totalSeconds));
-    Json points = Json::makeArray();
-    for (const PhasePoint &p : t.points) {
-        Json pj = Json::makeObject();
-        pj.set("oi", jsonNumber(p.oi));
-        pj.set("perf", Json::makeNumber(p.perf));
-        pj.set("flops", Json::makeNumber(p.flops));
-        pj.set("traffic_bytes", Json::makeNumber(p.trafficBytes));
-        pj.set("seconds", Json::makeNumber(p.seconds));
-        points.push(std::move(pj));
-    }
-    j.set("points", std::move(points));
-    return j;
 }
 
 PhaseRow
@@ -288,26 +353,18 @@ analysisTable(const CampaignAnalysis &doc)
 std::string
 encodeAnalysis(const CampaignAnalysis &doc)
 {
-    Json j = Json::makeObject();
-    j.set("kind", Json::makeString("rfl-analysis"));
-    j.set("schema_version", Json::makeNumber(4));
-    j.set("campaign", Json::makeString(doc.campaign));
-
-    Json scenarios = Json::makeArray();
-    for (const Scenario &s : doc.scenarios)
-        scenarios.push(scenarioToJson(s));
-    j.set("scenarios", std::move(scenarios));
-
-    Json kernels = Json::makeArray();
-    for (const KernelRow &r : doc.kernels)
-        kernels.push(kernelRowToJson(r));
-    j.set("kernels", std::move(kernels));
-
-    Json phases = Json::makeArray();
-    for (const PhaseRow &r : doc.phases)
-        phases.push(phaseRowToJson(r));
-    j.set("phases", std::move(phases));
-    return j.dump();
+    std::string out;
+    out.reserve(1024 * (1 + doc.scenarios.size() + doc.phases.size()) +
+                512 * doc.kernels.size());
+    out += '{';
+    stringMember(out, "kind", "rfl-analysis");
+    numberMember(out, "schema_version", 4);
+    stringMember(out, "campaign", doc.campaign);
+    arrayMember(out, "scenarios", doc.scenarios, appendScenario);
+    arrayMember(out, "kernels", doc.kernels, appendKernelRow);
+    arrayMember(out, "phases", doc.phases, appendPhaseRow);
+    out += '}';
+    return out;
 }
 
 CampaignAnalysis
@@ -347,19 +404,6 @@ loadAnalysisFile(const std::string &path)
     std::ostringstream text;
     text << in.rdbuf();
     return decodeAnalysis(text.str());
-}
-
-std::string
-writeAnalysisJson(const CampaignAnalysis &doc, const std::string &dir,
-                  const std::string &name)
-{
-    ensureDirectory(dir);
-    const std::string path = dir + "/" + name + ".json";
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write analysis file '%s'", path.c_str());
-    out << encodeAnalysis(doc) << "\n";
-    return path;
 }
 
 } // namespace rfl::analysis

@@ -118,11 +118,6 @@ CampaignAnalysis decodeAnalysis(const std::string &text);
 /** Load and decode an analysis.json file; fatal() on errors. */
 CampaignAnalysis loadAnalysisFile(const std::string &path);
 
-/** Write @p dir/@p name.json; @return the path written. */
-std::string writeAnalysisJson(const CampaignAnalysis &doc,
-                              const std::string &dir,
-                              const std::string &name);
-
 } // namespace rfl::analysis
 
 #endif // RFL_ANALYSIS_ANALYSIS_HH

@@ -156,8 +156,9 @@ ReportArtifacts
 render(const CampaignAnalysis &doc, const std::string &name)
 {
     ReportArtifacts artifacts;
-    // Matches writeAnalysisJson's framing (trailing newline).
-    artifacts.json = encodeAnalysis(doc) + "\n";
+    // The file ends in a newline after the document.
+    artifacts.json = encodeAnalysis(doc);
+    artifacts.json += '\n';
 
     std::string &html = artifacts.html;
     html.append("<!DOCTYPE html>\n<html lang='en'>\n<head>\n"

@@ -1,9 +1,10 @@
 #include "analysis/svg.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
-#include <functional>
+#include <limits>
 
 #include "support/csv.hh"
 #include "support/escape.hh"
@@ -61,7 +62,13 @@ struct Viewport
     double
     py(double y) const
     {
-        return y0 + (lyHi - std::log10(y)) / (lyHi - lyLo) * h;
+        return pyLog(std::log10(y));
+    }
+    /** py() of a y whose log10 is @p ly. */
+    double
+    pyLog(double ly) const
+    {
+        return y0 + (lyHi - ly) / (lyHi - lyLo) * h;
     }
     bool
     contains(double x, double y) const
@@ -152,39 +159,76 @@ emitGrid(std::string &svg, const Viewport &v)
     }
 }
 
-/** Polyline through y(x) sampled log-uniformly; splits at gaps. */
-void
-emitCurve(std::string &svg, const Viewport &v,
-          const std::function<double(double)> &fy, const char *color,
-          double width, bool dashed)
+/**
+ * The log-uniform x samples every curve of one plot shares, with each
+ * sample's printed pixel column ("px,"): the same for every curve, so
+ * computed once per plot.
+ */
+struct CurveGrid
 {
-    constexpr int n = 128;
-    std::string pts;
-    auto flush = [&] {
-        if (pts.empty())
+    static constexpr int kSamples = 128;
+    std::array<double, kSamples> x;
+    std::array<std::string, kSamples> column;
+
+    explicit CurveGrid(const Viewport &v)
+    {
+        for (int i = 0; i < kSamples; ++i) {
+            const double f = static_cast<double>(i) / (kSamples - 1);
+            x[i] = std::pow(10.0, v.lxLo + f * (v.lxHi - v.lxLo));
+            appendFixed(column[i], v.px(x[i]), 2);
+            column[i] += ',';
+        }
+    }
+};
+
+/** Polyline through y = @p fy(x) at the grid's samples; splits at
+ *  gaps (y <= 0 or outside the viewport). */
+template <typename Fy>
+void
+emitCurve(std::string &svg, const Viewport &v, const CurveGrid &grid,
+          Fy fy, const char *color, double width, bool dashed)
+{
+    bool open = false;
+    auto close = [&] {
+        if (!open)
             return;
-        svg.append("<polyline points='").append(pts)
-            .append("' fill='none' stroke='").append(color)
+        svg.append("' fill='none' stroke='").append(color)
             .append("' stroke-width='");
         appendSig(svg, width, kStreamDigits);
         svg.append("'")
             .append(dashed ? " stroke-dasharray='5 4'" : "")
             .append("/>\n");
-        pts.clear();
+        open = false;
     };
-    for (int i = 0; i < n; ++i) {
-        const double f = static_cast<double>(i) / (n - 1);
-        const double x =
-            std::pow(10.0, v.lxLo + f * (v.lxHi - v.lxLo));
-        const double y = fy(x);
-        if (!(y > 0) || std::log10(y) > v.lyHi ||
-            std::log10(y) < v.lyLo) {
-            flush();
+    // A flat roof repeats y sample after sample: test and print each
+    // distinct y once. NaN compares unequal, so the first y (and any
+    // NaN) is always tested.
+    double last_y = std::numeric_limits<double>::quiet_NaN();
+    bool visible = false;
+    std::string row; // "py " of last_y when visible
+    for (int i = 0; i < CurveGrid::kSamples; ++i) {
+        const double y = fy(grid.x[i]);
+        if (!(y == last_y)) {
+            last_y = y;
+            const double ly = y > 0 ? std::log10(y) : 0;
+            visible = y > 0 && ly >= v.lyLo && ly <= v.lyHi;
+            if (visible) {
+                row.clear();
+                appendFixed(row, v.pyLog(ly), 2);
+                row += ' ';
+            }
+        }
+        if (!visible) {
+            close();
             continue;
         }
-        appendVertex(pts, v.px(x), v.py(y));
+        if (!open) {
+            svg.append("<polyline points='");
+            open = true;
+        }
+        svg.append(grid.column[i]).append(row);
     }
-    flush();
+    close();
 }
 
 } // namespace
@@ -237,10 +281,11 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
         .append(")'>performance [Gflop/s]</text>\n");
 
     // Inner ceilings first, the outer roof last so it stays on top.
+    const CurveGrid grid(v);
     for (const roofline::Ceiling &c : model.computeCeilings()) {
         const double value = c.value;
         emitCurve(
-            svg, v,
+            svg, v, grid,
             [&](double x) {
                 return std::min(value, x * model.peakBandwidth());
             },
@@ -258,7 +303,7 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
     for (const roofline::Ceiling &b : model.bandwidthCeilings()) {
         const double value = b.value;
         emitCurve(
-            svg, v,
+            svg, v, grid,
             [&](double x) {
                 const double y = x * value;
                 return y <= model.peakCompute() * 1.05 ? y : 0.0;
@@ -280,8 +325,8 @@ renderRooflineSvg(const roofline::RooflinePlot &plot,
         }
     }
     emitCurve(
-        svg, v, [&](double x) { return model.attainable(x); }, kRoof,
-        2.0, false);
+        svg, v, grid, [&](double x) { return model.attainable(x); },
+        kRoof, 2.0, false);
     // Ridge-point annotation on the roof.
     const double ridge = model.ridgePoint();
     if (v.contains(ridge, model.peakCompute())) {

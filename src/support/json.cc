@@ -11,11 +11,8 @@
 namespace rfl
 {
 
-namespace
-{
-
 void
-appendNumber(std::string &out, double v)
+appendJsonNumber(std::string &out, double v)
 {
     if (std::isnan(v))
         out += "nan";
@@ -24,6 +21,9 @@ appendNumber(std::string &out, double v)
     else
         appendSig(out, v, kRoundTripDigits);
 }
+
+namespace
+{
 
 /**
  * Nesting bound of the parser. Every document this program writes nests
@@ -366,7 +366,7 @@ Json::dumpTo(std::string &out) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        appendNumber(out, num_);
+        appendJsonNumber(out, num_);
         break;
       case Kind::String:
         out += '"';

@@ -32,6 +32,13 @@ class JsonError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/**
+ * Append @p v as Json::dump renders a number: "%.17g", or the bare
+ * nan/inf/-inf tokens. The one JSON number renderer, shared with
+ * writers that build a document without a Json tree.
+ */
+void appendJsonNumber(std::string &out, double v);
+
 /** Minimal JSON value (see file comment). */
 class Json
 {

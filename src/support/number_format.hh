@@ -9,6 +9,12 @@
  * the "C" locale (nan/inf spellings included). Output is therefore
  * byte-identical to the snprintf calls these replace, at a fraction of
  * their cost and with no locale or stream state involved.
+ *
+ * appendFixed with at most 6 decimals (every SVG pixel coordinate)
+ * first tries an exact integer path: it scales by 10^n, rounds, and
+ * puts the decimal point back. It uses to_chars instead when the
+ * scaled value ends in exactly .5 (a possible tie), is not finite, or
+ * is 4e15 or larger.
  */
 
 #ifndef RFL_SUPPORT_NUMBER_FORMAT_HH

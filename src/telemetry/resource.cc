@@ -61,23 +61,6 @@ ResourceDelta::add(const ResourceDelta &other)
     majorFaults += other.majorFaults;
 }
 
-std::string
-ResourceDelta::json() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"cpu_user_seconds\":%.6f,"
-                  "\"cpu_system_seconds\":%.6f,"
-                  "\"maxrss_bytes\":%llu,"
-                  "\"minor_faults\":%llu,"
-                  "\"major_faults\":%llu}",
-                  cpuUserSeconds, cpuSystemSeconds,
-                  static_cast<unsigned long long>(maxrssBytes),
-                  static_cast<unsigned long long>(minorFaults),
-                  static_cast<unsigned long long>(majorFaults));
-    return buf;
-}
-
 ResourceDelta
 ScopedThreadUsage::delta() const
 {

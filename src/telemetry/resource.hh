@@ -77,9 +77,6 @@ struct ResourceDelta
     /** Accumulate another delta (campaign-level totals). maxrss
      *  takes the max — it is a level, not a flow. */
     void add(const ResourceDelta &other);
-
-    /** Strict-JSON object, keys snake_case (job status payloads). */
-    std::string json() const;
 };
 
 /** RAII bracket: snapshot at construction, delta on demand. */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Report emitters and the analysis.json codec: artifact set existence,
- * SVG/HTML structure, schema round-trip fidelity.
+ * SVG/HTML structure, schema round-trip fidelity, and byte goldens of
+ * every rendered artifact.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "analysis/diff.hh"
 #include "analysis/report.hh"
 #include "analysis/svg.hh"
+#include "support/hash.hh"
 
 namespace
 {
@@ -278,6 +280,186 @@ TEST(AnalysisSvg, HardwarePointsRenderAsDiamonds)
         pos += 7;
     }
     EXPECT_EQ(circles, 1u);
+}
+
+/**
+ * A synthetic document that reaches every drawing branch: a compute
+ * ceiling below the viewport (fully clipped), bandwidth diagonals cut
+ * off at the roof and entering from below, the flat compute roof past
+ * the ridge, phase paths with an unplottable point, hardware diamonds,
+ * an unavailable row, an inf-OI and a NaN-traffic row, and labels that
+ * need XML and JSON escaping.
+ */
+CampaignAnalysis
+goldenDoc()
+{
+    CampaignAnalysis doc;
+    doc.campaign = "gold <&> \"q\"";
+
+    Scenario a;
+    a.machine = "box";
+    a.variant = "cold-1c";
+    a.model.addComputeCeiling("x87", 2e6);
+    a.model.addComputeCeiling("scalar", 5e9);
+    a.model.addComputeCeiling("AVX \"wide\"", 40e9);
+    a.model.addBandwidthCeiling("L1", 100e9);
+    a.model.addBandwidthCeiling("DRAM", 10e9);
+    a.model.addBandwidthCeiling("slow\tlink", 0.5e9);
+    doc.scenarios.push_back(a);
+
+    Scenario b;
+    b.machine = "box";
+    b.variant = "warm 4c";
+    b.model.addComputeCeiling("peak", 3.3e9);
+    b.model.addBandwidthCeiling("stream", 7.7e9);
+    doc.scenarios.push_back(b);
+
+    roofline::Measurement m;
+    m.kernel = "triad";
+    m.sizeLabel = "n=4096";
+    m.protocol = "cold";
+    m.flops = 8192;
+    m.trafficBytes = 98304;
+    m.seconds = 1e-5;
+    doc.kernels.push_back(makeKernelRow("box", "cold-1c", m, a.model));
+
+    roofline::Measurement hw = m;
+    hw.backend = "perf";
+    hw.quality = 0.8125;
+    hw.seconds = 1.3e-5;
+    doc.kernels.push_back(makeKernelRow("box", "cold-1c", hw, a.model));
+
+    roofline::Measurement dense = m;
+    dense.kernel = "dgemm<opt>";
+    dense.sizeLabel = "n=192";
+    dense.flops = 2.0 * 192 * 192 * 192;
+    dense.trafficBytes = 3.0 * 192 * 192 * 8;
+    dense.seconds = 1.7e-3;
+    doc.kernels.push_back(makeKernelRow("box", "cold-1c", dense, a.model));
+    dense.backend = "perf";
+    dense.seconds = 2.9e-3;
+    doc.kernels.push_back(makeKernelRow("box", "cold-1c", dense, a.model));
+
+    roofline::Measurement denied = m;
+    denied.backend = "perf";
+    denied.available = false;
+    denied.quality = 0.0;
+    doc.kernels.push_back(makeKernelRow("box", "cold-1c", denied, a.model));
+
+    roofline::Measurement warm = m;
+    warm.protocol = "warm";
+    warm.trafficBytes = 0.0;
+    doc.kernels.push_back(makeKernelRow("box", "warm 4c", warm, b.model));
+
+    roofline::Measurement unknown = m;
+    unknown.kernel = "chase";
+    unknown.trafficBytes = std::numeric_limits<double>::quiet_NaN();
+    doc.kernels.push_back(makeKernelRow("box", "warm 4c", unknown, b.model));
+
+    // Far outside the default range: widens the viewport both ways.
+    roofline::Measurement far = m;
+    far.kernel = "spmv";
+    far.flops = 1e3;
+    far.trafficBytes = 1e6;
+    far.seconds = 1e-4;
+    doc.kernels.push_back(makeKernelRow("box", "warm 4c", far, b.model));
+
+    PhaseRow phase;
+    phase.machine = "box";
+    phase.variant = "warm 4c";
+    phase.trajectory.kernel = "triad";
+    phase.trajectory.sizeLabel = "n=65536";
+    phase.trajectory.protocol = "cold";
+    phase.trajectory.period = 4096;
+    phase.trajectory.points = {
+        {0.05, 1.0e8, 5e4, 1e6, 5e-4},
+        {std::numeric_limits<double>::infinity(), 2.0e8, 1e4, 0, 5e-5},
+        {0.0625, 3.3e8, 6e4, 9.6e5, 1.8e-4},
+        {0.125, 0.0, 0, 8e5, 0},
+        {1.0 / 12, 4.4e8, 8e4, 9.6e5, 1.8e-4},
+    };
+    phase.trajectory.totalFlops = 1.9e5;
+    phase.trajectory.totalTrafficBytes = 3.68e6;
+    phase.trajectory.totalSeconds = 9.1e-4;
+    doc.phases.push_back(phase);
+    phase.trajectory.kernel = "stencil3";
+    phase.trajectory.points = {
+        {0.3, 1.5e9, 3e5, 1e6, 2e-4},
+        {0.45, 2.5e9, 4.5e5, 1e6, 1.8e-4},
+    };
+    doc.phases.push_back(phase);
+    return doc;
+}
+
+/** (filename, bytes, FNV-1a) of one rendered artifact. */
+struct Digest
+{
+    std::string file;
+    size_t bytes;
+    uint64_t fnv;
+
+    bool
+    operator==(const Digest &o) const
+    {
+        return file == o.file && bytes == o.bytes && fnv == o.fnv;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Digest &d)
+{
+    return os << "{\"" << d.file << "\", " << d.bytes << ", 0x"
+              << std::hex << d.fnv << std::dec << "ull}";
+}
+
+Digest
+digest(const std::string &file, const std::string &content)
+{
+    return {file, content.size(),
+            Fnv1a().mixBytes(content.data(), content.size()).value()};
+}
+
+/** Digests of every artifact renderAnalysisReport returns. */
+std::vector<Digest>
+reportDigests(const CampaignAnalysis &doc, const std::string &name)
+{
+    const ReportArtifacts artifacts = renderAnalysisReport(doc, name);
+    std::vector<Digest> out{digest(name + ".json", artifacts.json),
+                            digest(name + ".html", artifacts.html)};
+    for (const auto &[file, content] : artifacts.svgs)
+        out.push_back(digest(file, content));
+    return out;
+}
+
+// The goldens pin every output byte of the SVG, HTML and analysis.json
+// renderers. They were taken before the renderers were optimized and
+// must never be re-taken to make a renderer change pass: a mismatch
+// means the artifacts changed.
+
+TEST(ReportGolden, BaselineDocumentBytes)
+{
+    const CampaignAnalysis doc =
+        loadAnalysisFile(RFL_ANALYSIS_BASELINE);
+    const std::vector<Digest> want = {
+        {"gate.json", 24533, 0x4f6c9d9e35187c6aull},
+        {"gate.html", 37352, 0x23f927576965fb65ull},
+        {"gate_sim-xeon-2s4c-avx_cold-1c.svg", 19546,
+         0x48fc8ff1bccb1b49ull},
+        {"gate_sim-xeon-2s4c-avx_warm-1c.svg", 13929,
+         0x749a528c8637a62bull},
+    };
+    EXPECT_EQ(reportDigests(doc, "gate"), want);
+}
+
+TEST(ReportGolden, SyntheticDocumentBytes)
+{
+    const std::vector<Digest> want = {
+        {"golden.json", 5481, 0x4443820b57dda1c5ull},
+        {"golden.html", 22457, 0xb914bd5a705d3deaull},
+        {"golden_box_cold-1c.svg", 11274, 0xf83e145301b760b6ull},
+        {"golden_box_warm-4c.svg", 7990, 0x9e650653783d85ebull},
+    };
+    EXPECT_EQ(reportDigests(goldenDoc(), "golden"), want);
 }
 
 } // namespace

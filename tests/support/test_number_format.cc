@@ -159,6 +159,63 @@ TEST(NumberFormat, OneMillionRandomDoublesMatchPrintf)
     EXPECT_EQ(failures, 0);
 }
 
+/** @p v and its neighbours 1..4 ulps away on both sides. */
+void
+pushUlpNeighbours(std::vector<double> &out, double v)
+{
+    out.push_back(v);
+    double up = v, down = v;
+    for (int i = 0; i < 4; ++i) {
+        up = std::nextafter(up, HUGE_VAL);
+        down = std::nextafter(down, -HUGE_VAL);
+        out.push_back(up);
+        out.push_back(down);
+    }
+}
+
+TEST(NumberFormat, IntegerPathNearTiesAndBoundMatchPrintf)
+{
+    // appendFixed prints n <= 6 decimals from |v| * 10^n rounded to an
+    // integer, and falls back to to_chars when that product ends in .5
+    // or is 4e15 or more. Probe both sides of each rule at every fixed
+    // precision in use.
+    int failures = 0;
+    for (int n : kFixedDecimals) {
+        const double scale = std::pow(10.0, n);
+        std::vector<double> values;
+        // Decimal ties (k + 0.5) / 10^n, small to near the bound.
+        std::vector<double> ks;
+        for (int k = 0; k < 200; ++k)
+            ks.push_back(k);
+        for (double k = 1000; k < 4e15; k = k * 7 + 3)
+            ks.push_back(k);
+        ks.push_back(std::floor(4e15) - 1);
+        for (double k : ks)
+            pushUlpNeighbours(values, (k + 0.5) / scale);
+        // The fast-path bound, from both sides.
+        pushUlpNeighbours(values, 4e15 / scale);
+        for (double f : {0.5, 0.999, 0.999999, 1.000001, 1.001, 2.0})
+            values.push_back(4e15 / scale * f);
+        // Above the bound the scaled product is no longer exact to the
+        // unit, so these must take the to_chars path.
+        for (int i = 1; i <= 400; ++i)
+            values.push_back(4e15 / scale * (1.0 + i / 37.0));
+        // Zeros and negatives that round to zero keep their sign.
+        for (double v : {0.0, 1e-300, 4e-324, 1e-9, 0.001, 0.004, 0.005,
+                         0.006, 0.049, 0.05, 0.051, 0.4999999})
+            values.push_back(v);
+        for (double v : values) {
+            check(v, true, n, failures);
+            check(-v, true, n, failures);
+        }
+    }
+    EXPECT_EQ(failures, 0);
+    EXPECT_EQ(fixedText(-0.0, 2), "-0.00");
+    EXPECT_EQ(fixedText(-0.001, 2), "-0.00");
+    EXPECT_EQ(fixedText(0.0, 1), "0.0");
+    EXPECT_EQ(fixedText(-0.05, 1), "-0.1");
+}
+
 TEST(NumberFormat, StreamDigitsMatchOstreamDefault)
 {
     Rng rng(42);

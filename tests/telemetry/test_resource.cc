@@ -164,20 +164,4 @@ TEST(Resource, DeltaAddSumsFlowsAndMaxesLevels)
     EXPECT_EQ(a.majorFaults, 1u);
 }
 
-TEST(Resource, JsonIsWellFormedSnakeCase)
-{
-    ResourceDelta d;
-    d.cpuUserSeconds = 0.125;
-    d.maxrssBytes = 4096;
-    const std::string json = d.json();
-    EXPECT_NE(json.find("\"cpu_user_seconds\":0.125"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"cpu_system_seconds\":"), std::string::npos);
-    EXPECT_NE(json.find("\"maxrss_bytes\":4096"), std::string::npos);
-    EXPECT_NE(json.find("\"minor_faults\":"), std::string::npos);
-    EXPECT_NE(json.find("\"major_faults\":"), std::string::npos);
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-}
-
 } // namespace
