@@ -232,11 +232,9 @@ main(int argc, char **argv)
         std::ofstream metrics_out(metrics_path);
         if (!metrics_out)
             fatal("cannot write '%s'", metrics_path.c_str());
-        metrics_out << "{\"kind\":\"rfl-metrics\",\"schema_version\":1,"
-                    << "\"campaign\":\"" << spec.name()
-                    << "\",\"metrics\":"
-                    << telemetry::Registry::global().renderJsonGrouped()
-                    << "}\n";
+        metrics_out << telemetry::Registry::global().renderMetricsJson(
+                           spec.name())
+                    << "\n";
         std::cout << "telemetry: " << metrics_path << ", " << trace_path
                   << " (" << tracer.size() << " spans)\n";
     }

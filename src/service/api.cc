@@ -48,7 +48,7 @@ backpressureError(const std::string &message, int retryAfterSeconds)
 }
 
 Json
-statusJson(const JobStatus &st)
+statusDoc(const JobStatus &st)
 {
     Json doc = Json::makeObject();
     doc.set("id", Json::makeString(st.id));
@@ -134,6 +134,12 @@ endpointHistogram(const std::string &path)
 }
 
 } // namespace
+
+std::string
+statusJson(const JobStatus &st)
+{
+    return statusDoc(st).dump();
+}
 
 ApiHandler::ApiHandler(JobQueue &queue, SessionTable &sessions)
     : queue_(queue), sessions_(sessions),
@@ -307,7 +313,7 @@ ApiHandler::submitCampaign(const HttpRequest &req,
         JobStatus st;
         Json doc;
         if (queue_.status(outcome.id, &st)) {
-            doc = statusJson(st);
+            doc = statusDoc(st);
         } else {
             doc = Json::makeObject();
             doc.set("id", Json::makeString(outcome.id));
@@ -343,7 +349,7 @@ ApiHandler::campaignRoute(const HttpRequest &req)
         return jsonError(404, "unknown campaign ticket '" + id + "'");
 
     if (artifact.empty())
-        return jsonResponse(200, statusJson(st));
+        return jsonResponse(200, statusDoc(st));
 
     if (st.state == JobState::Failed)
         return jsonError(500, "campaign failed: " + st.error);
@@ -351,7 +357,7 @@ ApiHandler::campaignRoute(const HttpRequest &req)
         return jsonError(504, "campaign timed out: " + st.error +
                                   " (resubmit to retry)");
     if (st.state != JobState::Done) {
-        Json doc = statusJson(st);
+        Json doc = statusDoc(st);
         doc.set("error",
                 Json::makeString("campaign not finished; poll "
                                  "/v1/campaigns/" +

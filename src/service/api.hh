@@ -68,6 +68,9 @@
 namespace rfl::service
 {
 
+/** The status document of GET /v1/campaigns/<id> (no newline). */
+std::string statusJson(const JobStatus &st);
+
 /** See file comment. */
 class ApiHandler
 {

@@ -449,4 +449,12 @@ Registry::renderJsonGrouped()
     return out;
 }
 
+std::string
+Registry::renderMetricsJson(const std::string &campaign)
+{
+    return "{\"kind\":\"rfl-metrics\",\"schema_version\":1,"
+           "\"campaign\":\"" + campaign + "\",\"metrics\":" +
+           renderJsonGrouped() + "}";
+}
+
 } // namespace rfl::telemetry

@@ -258,6 +258,13 @@ class Registry
      */
     std::string renderJsonGrouped();
 
+    /**
+     * The metrics.json of `roofline_campaign --telemetry-dir`:
+     * {"kind":"rfl-metrics","schema_version":1,"campaign":<name>,
+     * "metrics":<renderJsonGrouped()>} (no newline).
+     */
+    std::string renderMetricsJson(const std::string &campaign);
+
   private:
     friend class CollectorHandle;
 
