@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "campaign/serialize.hh"
-#include "support/escape.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
@@ -17,154 +16,80 @@ namespace rfl::analysis
 namespace
 {
 
-/**
- * @name analysis.json writer
- * Appends the document straight into one string, byte for byte what
- * Json::dump renders for the equivalent tree: compact, members in the
- * order written. Keys are plain identifiers and need no escaping.
- */
-///@{
-
-/** Start member @p key of the object being written. */
 void
-member(std::string &out, const char *key)
+writeScenario(JsonWriter &w, const Scenario &s)
 {
-    if (out.back() != '{')
-        out += ',';
-    out += '"';
-    out += key;
-    out += "\":";
+    w.beginObject();
+    w.key("machine").string(s.machine);
+    w.key("variant").string(s.variant);
+    w.key("peak_flops").number(s.model.peakCompute());
+    w.key("peak_bandwidth").number(s.model.peakBandwidth());
+    w.key("ridge").number(s.model.ridgePoint());
+    w.key("compute_ceilings");
+    campaign::writeCeilings(w, s.model.computeCeilings());
+    w.key("bandwidth_ceilings");
+    campaign::writeCeilings(w, s.model.bandwidthCeilings());
+    w.endObject();
 }
 
 void
-stringMember(std::string &out, const char *key, const std::string &v)
+writeKernelRow(JsonWriter &w, const KernelRow &r)
 {
-    member(out, key);
-    out += '"';
-    appendEscapedJson(out, v);
-    out += '"';
+    const DerivedMetrics &d = r.metrics;
+    w.beginObject();
+    w.key("machine").string(r.machine);
+    w.key("variant").string(r.variant);
+    w.key("kernel").string(r.kernel);
+    w.key("size").string(r.sizeLabel);
+    w.key("protocol").string(r.protocol);
+    w.key("cores").number(r.cores);
+    w.key("lanes").number(r.lanes);
+    w.key("flops").number(r.flops);
+    w.key("traffic_bytes").number(r.trafficBytes);
+    w.key("seconds").number(r.seconds);
+    w.key("backend").string(r.backend);
+    w.key("quality").number(r.quality);
+    w.key("available").boolean(r.available);
+    w.key("oi").strictNumber(d.oi);
+    w.key("perf").number(d.perf);
+    w.key("attainable").number(d.attainable);
+    w.key("pct_roof").number(d.pctRoof);
+    w.key("pct_peak").number(d.pctPeak);
+    w.key("achieved_bandwidth").number(d.achievedBandwidth);
+    w.key("pct_peak_bw").number(d.pctPeakBandwidth);
+    w.key("bound").string(boundClassName(d.bound));
+    w.key("binding_ceiling").string(d.bindingCeiling);
+    w.endObject();
 }
 
 void
-numberMember(std::string &out, const char *key, double v)
-{
-    member(out, key);
-    appendJsonNumber(out, v);
-}
-
-/** Strict-JSON number: a non-finite value is written as null. */
-void
-strictNumberMember(std::string &out, const char *key, double v)
-{
-    member(out, key);
-    if (std::isfinite(v))
-        appendJsonNumber(out, v);
-    else
-        out += "null";
-}
-
-/** Member @p key: an array with one appendItem(out, item) per item. */
-template <typename T, typename AppendItem>
-void
-arrayMember(std::string &out, const char *key, const std::vector<T> &items,
-            AppendItem appendItem)
-{
-    member(out, key);
-    out += '[';
-    for (const T &item : items) {
-        if (out.back() != '[')
-            out += ',';
-        appendItem(out, item);
-    }
-    out += ']';
-}
-
-void
-appendCeiling(std::string &out, const roofline::Ceiling &c)
-{
-    out += '{';
-    stringMember(out, "name", c.name);
-    numberMember(out, "value", c.value);
-    out += '}';
-}
-
-void
-appendScenario(std::string &out, const Scenario &s)
-{
-    out += '{';
-    stringMember(out, "machine", s.machine);
-    stringMember(out, "variant", s.variant);
-    numberMember(out, "peak_flops", s.model.peakCompute());
-    numberMember(out, "peak_bandwidth", s.model.peakBandwidth());
-    numberMember(out, "ridge", s.model.ridgePoint());
-    arrayMember(out, "compute_ceilings", s.model.computeCeilings(),
-                appendCeiling);
-    arrayMember(out, "bandwidth_ceilings", s.model.bandwidthCeilings(),
-                appendCeiling);
-    out += '}';
-}
-
-void
-appendKernelRow(std::string &out, const KernelRow &r)
-{
-    out += '{';
-    stringMember(out, "machine", r.machine);
-    stringMember(out, "variant", r.variant);
-    stringMember(out, "kernel", r.kernel);
-    stringMember(out, "size", r.sizeLabel);
-    stringMember(out, "protocol", r.protocol);
-    numberMember(out, "cores", r.cores);
-    numberMember(out, "lanes", r.lanes);
-    numberMember(out, "flops", r.flops);
-    numberMember(out, "traffic_bytes", r.trafficBytes);
-    numberMember(out, "seconds", r.seconds);
-    stringMember(out, "backend", r.backend);
-    numberMember(out, "quality", r.quality);
-    member(out, "available");
-    out += r.available ? "true" : "false";
-    strictNumberMember(out, "oi", r.metrics.oi);
-    numberMember(out, "perf", r.metrics.perf);
-    numberMember(out, "attainable", r.metrics.attainable);
-    numberMember(out, "pct_roof", r.metrics.pctRoof);
-    numberMember(out, "pct_peak", r.metrics.pctPeak);
-    numberMember(out, "achieved_bandwidth", r.metrics.achievedBandwidth);
-    numberMember(out, "pct_peak_bw", r.metrics.pctPeakBandwidth);
-    stringMember(out, "bound", boundClassName(r.metrics.bound));
-    stringMember(out, "binding_ceiling", r.metrics.bindingCeiling);
-    out += '}';
-}
-
-void
-appendPhaseRow(std::string &out, const PhaseRow &r)
+writePhaseRow(JsonWriter &w, const PhaseRow &r)
 {
     const PhaseTrajectory &t = r.trajectory;
-    out += '{';
-    stringMember(out, "machine", r.machine);
-    stringMember(out, "variant", r.variant);
-    stringMember(out, "kernel", t.kernel);
-    stringMember(out, "size", t.sizeLabel);
-    stringMember(out, "protocol", t.protocol);
-    numberMember(out, "period", static_cast<double>(t.period));
-    numberMember(out, "total_flops", t.totalFlops);
-    numberMember(out, "total_traffic_bytes", t.totalTrafficBytes);
-    numberMember(out, "total_seconds", t.totalSeconds);
-    arrayMember(out, "points", t.points,
-                [](std::string &o, const PhasePoint &p) {
-                    o += '{';
-                    strictNumberMember(o, "oi", p.oi);
-                    numberMember(o, "perf", p.perf);
-                    numberMember(o, "flops", p.flops);
-                    numberMember(o, "traffic_bytes", p.trafficBytes);
-                    numberMember(o, "seconds", p.seconds);
-                    o += '}';
-                });
-    out += '}';
+    w.beginObject();
+    w.key("machine").string(r.machine);
+    w.key("variant").string(r.variant);
+    w.key("kernel").string(t.kernel);
+    w.key("size").string(t.sizeLabel);
+    w.key("protocol").string(t.protocol);
+    w.key("period").number(static_cast<double>(t.period));
+    w.key("total_flops").number(t.totalFlops);
+    w.key("total_traffic_bytes").number(t.totalTrafficBytes);
+    w.key("total_seconds").number(t.totalSeconds);
+    w.key("points").beginArray();
+    for (const PhasePoint &p : t.points)
+        w.beginObject()
+            .key("oi").strictNumber(p.oi)
+            .key("perf").number(p.perf)
+            .key("flops").number(p.flops)
+            .key("traffic_bytes").number(p.trafficBytes)
+            .key("seconds").number(p.seconds)
+            .endObject();
+    w.endArray().endObject();
 }
 
-///@}
-
-/** Inverse of strictNumberMember: null decodes to +inf (only I can
- *  be inf). */
+/** Inverse of JsonWriter::strictNumber for oi: null decodes to +inf
+ *  (only I can be inf). */
 double
 numberField(const Json &j)
 {
@@ -356,14 +281,21 @@ encodeAnalysis(const CampaignAnalysis &doc)
     std::string out;
     out.reserve(1024 * (1 + doc.scenarios.size() + doc.phases.size()) +
                 512 * doc.kernels.size());
-    out += '{';
-    stringMember(out, "kind", "rfl-analysis");
-    numberMember(out, "schema_version", 4);
-    stringMember(out, "campaign", doc.campaign);
-    arrayMember(out, "scenarios", doc.scenarios, appendScenario);
-    arrayMember(out, "kernels", doc.kernels, appendKernelRow);
-    arrayMember(out, "phases", doc.phases, appendPhaseRow);
-    out += '}';
+    JsonWriter w(out);
+    w.beginObject();
+    w.key("kind").string("rfl-analysis");
+    w.key("schema_version").integer(4);
+    w.key("campaign").string(doc.campaign);
+    w.key("scenarios").beginArray();
+    for (const Scenario &s : doc.scenarios)
+        writeScenario(w, s);
+    w.endArray().key("kernels").beginArray();
+    for (const KernelRow &r : doc.kernels)
+        writeKernelRow(w, r);
+    w.endArray().key("phases").beginArray();
+    for (const PhaseRow &r : doc.phases)
+        writePhaseRow(w, r);
+    w.endArray().endObject();
     return out;
 }
 

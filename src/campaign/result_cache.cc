@@ -59,6 +59,20 @@ writeFileSynced(const std::string &path, const std::string &blob)
     return ::close(fd) == 0;
 }
 
+/** Append the spill line of (@p key, @p payload) to @p out. The
+ *  payload is one JSON value already and nests as is. */
+void
+appendSpillLine(std::string &out, const std::string &key,
+                const std::string &payload)
+{
+    JsonWriter(out)
+        .beginObject()
+        .key("key").string(key)
+        .key("payload").raw(payload)
+        .endObject();
+    out += '\n';
+}
+
 } // namespace
 
 ResultCache::ResultCache(const std::string &spillPath)
@@ -125,12 +139,8 @@ ResultCache::store(const std::string &key, const std::string &payload)
     ++stats_.stores;
     if (spillPath_.empty())
         return;
-    Json entry = Json::makeObject();
-    entry.set("key", Json::makeString(key));
-    // Payloads are JSON already; re-parse so the spill line nests them
-    // as a value rather than an escaped string.
-    entry.set("payload", Json::parse(payload));
-    const std::string line = entry.dump() + "\n";
+    std::string line;
+    appendSpillLine(line, key, payload);
     // A transient append failure (sick disk, injected fault) costs a
     // few milliseconds of backoff, not the campaign.
     const bool ok = retryWithBackoff("cache-append", [&] {
@@ -190,13 +200,8 @@ ResultCache::compact(const std::set<std::string> &liveConfigHashes)
     // zero drops this collapses append-only duplicate lines, so a
     // compacted file loads one line per entry.
     std::string blob;
-    for (const auto &[key, payload] : entries_) {
-        Json entry = Json::makeObject();
-        entry.set("key", Json::makeString(key));
-        entry.set("payload", Json::parse(payload));
-        blob += entry.dump();
-        blob += "\n";
-    }
+    for (const auto &[key, payload] : entries_)
+        appendSpillLine(blob, key, payload);
 
     // Crash-only discipline: the temp file AND its directory entry
     // must be on disk before the rename publishes it, else a crash

@@ -1,5 +1,6 @@
 #include "campaign/serialize.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 
@@ -9,13 +10,13 @@ namespace rfl::campaign
 namespace
 {
 
-Json
-sampleToJson(const Sample &s)
+void
+writeSample(JsonWriter &w, const Sample &s)
 {
-    Json arr = Json::makeArray();
+    w.beginArray();
     for (double v : s.values())
-        arr.push(Json::makeNumber(v));
-    return arr;
+        w.number(v);
+    w.endArray();
 }
 
 Sample
@@ -32,27 +33,32 @@ sampleFromJson(const Json &j)
 std::string
 encodeMeasurement(const roofline::Measurement &m)
 {
-    Json j = Json::makeObject();
-    j.set("kernel", Json::makeString(m.kernel));
-    j.set("size", Json::makeString(m.sizeLabel));
-    j.set("protocol", Json::makeString(m.protocol));
-    j.set("cores", Json::makeNumber(m.cores));
-    j.set("lanes", Json::makeNumber(m.lanes));
-    j.set("flops", Json::makeNumber(m.flops));
-    j.set("traffic_bytes", Json::makeNumber(m.trafficBytes));
-    j.set("seconds", Json::makeNumber(m.seconds));
-    j.set("expected_flops", Json::makeNumber(m.expectedFlops));
-    j.set("expected_traffic_bytes",
-          Json::makeNumber(m.expectedTrafficBytes));
-    j.set("flops_sample", sampleToJson(m.flopsSample));
-    j.set("traffic_sample", sampleToJson(m.trafficSample));
-    j.set("seconds_sample", sampleToJson(m.secondsSample));
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    w.key("kernel").string(m.kernel);
+    w.key("size").string(m.sizeLabel);
+    w.key("protocol").string(m.protocol);
+    w.key("cores").number(m.cores);
+    w.key("lanes").number(m.lanes);
+    w.key("flops").number(m.flops);
+    w.key("traffic_bytes").number(m.trafficBytes);
+    w.key("seconds").number(m.seconds);
+    w.key("expected_flops").number(m.expectedFlops);
+    w.key("expected_traffic_bytes").number(m.expectedTrafficBytes);
+    w.key("flops_sample");
+    writeSample(w, m.flopsSample);
+    w.key("traffic_sample");
+    writeSample(w, m.trafficSample);
+    w.key("seconds_sample");
+    writeSample(w, m.secondsSample);
     // Appended after every pre-existing key so older payloads decode
     // with defaults and sim payload prefixes are unchanged.
-    j.set("backend", Json::makeString(m.backend));
-    j.set("quality", Json::makeNumber(m.quality));
-    j.set("available", Json::makeBool(m.available));
-    return j.dump();
+    w.key("backend").string(m.backend);
+    w.key("quality").number(m.quality);
+    w.key("available").boolean(m.available);
+    w.endObject();
+    return out;
 }
 
 roofline::Measurement
@@ -83,17 +89,16 @@ decodeMeasurement(const std::string &payload)
     return m;
 }
 
-Json
-ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings)
+void
+writeCeilings(JsonWriter &w, const std::vector<roofline::Ceiling> &ceilings)
 {
-    Json arr = Json::makeArray();
-    for (const roofline::Ceiling &c : ceilings) {
-        Json obj = Json::makeObject();
-        obj.set("name", Json::makeString(c.name));
-        obj.set("value", Json::makeNumber(c.value));
-        arr.push(std::move(obj));
-    }
-    return arr;
+    w.beginArray();
+    for (const roofline::Ceiling &c : ceilings)
+        w.beginObject()
+            .key("name").string(c.name)
+            .key("value").number(c.value)
+            .endObject();
+    w.endArray();
 }
 
 roofline::RooflineModel
@@ -116,10 +121,14 @@ modelFromJson(const Json &compute, const Json &bandwidth)
 std::string
 encodeModel(const roofline::RooflineModel &model)
 {
-    Json j = Json::makeObject();
-    j.set("compute", ceilingsToJson(model.computeCeilings()));
-    j.set("bandwidth", ceilingsToJson(model.bandwidthCeilings()));
-    return j.dump();
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("compute");
+    writeCeilings(w, model.computeCeilings());
+    w.key("bandwidth");
+    writeCeilings(w, model.bandwidthCeilings());
+    w.endObject();
+    return out;
 }
 
 roofline::RooflineModel
@@ -134,10 +143,12 @@ namespace
 
 /** u64 as a decimal string: JSON numbers are doubles here and would
  *  round counters and the content hash above 2^53. */
-Json
-u64Field(uint64_t v)
+void
+u64Member(JsonWriter &w, const char *key, uint64_t v)
 {
-    return Json::makeString(std::to_string(v));
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    w.key(key).string(std::string_view(buf, res.ptr - buf));
 }
 
 uint64_t
@@ -152,21 +163,23 @@ std::string
 encodeTraceInfo(const TraceInfo &info)
 {
     const trace::TraceSummary &s = info.summary;
-    Json j = Json::makeObject();
-    j.set("path", Json::makeString(info.path));
-    j.set("records", u64Field(s.records));
-    j.set("loads", u64Field(s.loads));
-    j.set("stores", u64Field(s.stores));
-    j.set("nt_stores", u64Field(s.ntStores));
-    j.set("fp_ops", u64Field(s.fpOps));
-    j.set("other_uops", u64Field(s.otherUops));
-    j.set("flops", u64Field(s.flops));
-    j.set("mem_bytes", u64Field(s.memBytes));
-    j.set("min_addr", u64Field(s.minAddr));
-    j.set("max_addr", u64Field(s.maxAddr));
-    j.set("flags", u64Field(s.flags));
-    j.set("hash", u64Field(s.hash));
-    return j.dump();
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("path").string(info.path);
+    u64Member(w, "records", s.records);
+    u64Member(w, "loads", s.loads);
+    u64Member(w, "stores", s.stores);
+    u64Member(w, "nt_stores", s.ntStores);
+    u64Member(w, "fp_ops", s.fpOps);
+    u64Member(w, "other_uops", s.otherUops);
+    u64Member(w, "flops", s.flops);
+    u64Member(w, "mem_bytes", s.memBytes);
+    u64Member(w, "min_addr", s.minAddr);
+    u64Member(w, "max_addr", s.maxAddr);
+    u64Member(w, "flags", s.flags);
+    u64Member(w, "hash", s.hash);
+    w.endObject();
+    return out;
 }
 
 TraceInfo
@@ -194,26 +207,27 @@ decodeTraceInfo(const std::string &payload)
 std::string
 encodePhaseTrajectory(const analysis::PhaseTrajectory &t)
 {
-    Json j = Json::makeObject();
-    j.set("kernel", Json::makeString(t.kernel));
-    j.set("size", Json::makeString(t.sizeLabel));
-    j.set("protocol", Json::makeString(t.protocol));
-    j.set("period", u64Field(t.period));
-    j.set("total_flops", Json::makeNumber(t.totalFlops));
-    j.set("total_traffic_bytes", Json::makeNumber(t.totalTrafficBytes));
-    j.set("total_seconds", Json::makeNumber(t.totalSeconds));
-    Json points = Json::makeArray();
-    for (const analysis::PhasePoint &p : t.points) {
-        // oi/perf are derived from the stored deltas on decode; the
-        // spill line stays minimal.
-        Json pj = Json::makeObject();
-        pj.set("flops", Json::makeNumber(p.flops));
-        pj.set("traffic_bytes", Json::makeNumber(p.trafficBytes));
-        pj.set("seconds", Json::makeNumber(p.seconds));
-        points.push(std::move(pj));
-    }
-    j.set("points", std::move(points));
-    return j.dump();
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    w.key("kernel").string(t.kernel);
+    w.key("size").string(t.sizeLabel);
+    w.key("protocol").string(t.protocol);
+    u64Member(w, "period", t.period);
+    w.key("total_flops").number(t.totalFlops);
+    w.key("total_traffic_bytes").number(t.totalTrafficBytes);
+    w.key("total_seconds").number(t.totalSeconds);
+    w.key("points").beginArray();
+    // oi/perf are derived from the stored deltas on decode; the spill
+    // line stays minimal.
+    for (const analysis::PhasePoint &p : t.points)
+        w.beginObject()
+            .key("flops").number(p.flops)
+            .key("traffic_bytes").number(p.trafficBytes)
+            .key("seconds").number(p.seconds)
+            .endObject();
+    w.endArray().endObject();
+    return out;
 }
 
 analysis::PhaseTrajectory

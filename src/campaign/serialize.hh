@@ -25,12 +25,14 @@ namespace rfl::campaign
 
 /** perfbench/ names the value type cp::Json. */
 using rfl::Json;
+using rfl::JsonWriter;
 
-/** Encode ceilings as [{"name":…,"value":…},…], the shape the spill
+/** Write ceilings as [{"name":…,"value":…},…], the shape the spill
  *  and analysis.json share. */
-Json ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings);
+void writeCeilings(JsonWriter &w,
+                   const std::vector<roofline::Ceiling> &ceilings);
 
-/** A model from its two ceilingsToJson lists; JsonError on a malformed
+/** A model from its two writeCeilings lists; JsonError on a malformed
  *  entry or a value that is not positive. */
 roofline::RooflineModel modelFromJson(const Json &compute,
                                       const Json &bandwidth);

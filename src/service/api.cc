@@ -18,22 +18,28 @@ namespace rfl::service
 namespace
 {
 
+/** A JSON response: one object whose members @p members writes. */
+template <typename Members>
 HttpResponse
-jsonResponse(int status, const Json &doc)
+jsonResponse(int status, Members &&members)
 {
     HttpResponse resp;
     resp.status = status;
     resp.contentType = "application/json";
-    resp.body = doc.dump() + "\n";
+    JsonWriter w(resp.body);
+    w.beginObject();
+    members(w);
+    w.endObject();
+    resp.body += '\n';
     return resp;
 }
 
 HttpResponse
 jsonError(int status, const std::string &message)
 {
-    Json doc = Json::makeObject();
-    doc.set("error", Json::makeString(message));
-    return jsonResponse(status, doc);
+    return jsonResponse(status, [&](JsonWriter &w) {
+        w.key("error").string(message);
+    });
 }
 
 /** 429 with a Retry-After hint so well-behaved clients back off for a
@@ -47,66 +53,48 @@ backpressureError(const std::string &message, int retryAfterSeconds)
     return resp;
 }
 
-Json
-statusDoc(const JobStatus &st)
+/** The members of statusJson(@p st). */
+void
+writeStatusMembers(JsonWriter &w, const JobStatus &st)
 {
-    Json doc = Json::makeObject();
-    doc.set("id", Json::makeString(st.id));
-    doc.set("campaign", Json::makeString(st.campaign));
-    doc.set("state", Json::makeString(jobStateName(st.state)));
+    w.key("id").string(st.id);
+    w.key("campaign").string(st.campaign);
+    w.key("state").string(jobStateName(st.state));
     if (st.state == JobState::Failed ||
         st.state == JobState::TimedOut)
-        doc.set("error", Json::makeString(st.error));
-    if (st.state == JobState::Queued && st.queuePosition > 0) {
-        doc.set("queue_position",
-                Json::makeNumber(
-                    static_cast<double>(st.queuePosition)));
-    }
-    if (st.state == JobState::Done) {
-        Json stats = Json::makeObject();
-        stats.set("jobs",
-                  Json::makeNumber(static_cast<double>(st.jobs)));
-        stats.set("simulated",
-                  Json::makeNumber(static_cast<double>(st.simulated)));
-        stats.set("cache_hits",
-                  Json::makeNumber(static_cast<double>(st.cacheHits)));
-        stats.set("wall_seconds", Json::makeNumber(st.wallSeconds));
-        stats.set("threads", Json::makeNumber(
-                                 static_cast<double>(st.threadsUsed)));
-        stats.set("scenarios",
-                  Json::makeNumber(
-                      static_cast<double>(st.scenarioCount)));
-        doc.set("stats", std::move(stats));
+        w.key("error").string(st.error);
+    if (st.state == JobState::Queued && st.queuePosition > 0)
+        w.key("queue_position").number(st.queuePosition);
+    if (st.state != JobState::Done)
+        return;
+    w.key("stats").beginObject();
+    w.key("jobs").number(st.jobs);
+    w.key("simulated").number(st.simulated);
+    w.key("cache_hits").number(st.cacheHits);
+    w.key("wall_seconds").number(st.wallSeconds);
+    w.key("threads").number(st.threadsUsed);
+    w.key("scenarios").number(st.scenarioCount);
+    w.endObject();
 
-        // What the campaign cost the machine, not just how long it
-        // took: thread CPU seconds and fault counts summed across its
-        // jobs, peak process RSS observed (a level, not a sum — see
-        // telemetry/resource.hh).
-        Json res = Json::makeObject();
-        res.set("cpu_user_seconds",
-                Json::makeNumber(st.resources.cpuUserSeconds));
-        res.set("cpu_system_seconds",
-                Json::makeNumber(st.resources.cpuSystemSeconds));
-        res.set("maxrss_bytes",
-                Json::makeNumber(
-                    static_cast<double>(st.resources.maxrssBytes)));
-        res.set("minor_faults",
-                Json::makeNumber(
-                    static_cast<double>(st.resources.minorFaults)));
-        res.set("major_faults",
-                Json::makeNumber(
-                    static_cast<double>(st.resources.majorFaults)));
-        doc.set("resources", std::move(res));
+    // What the campaign cost the machine, not just how long it took:
+    // thread CPU seconds and fault counts summed across its jobs, peak
+    // process RSS observed (a level, not a sum — see
+    // telemetry/resource.hh).
+    const telemetry::ResourceDelta &r = st.resources;
+    w.key("resources").beginObject();
+    w.key("cpu_user_seconds").number(r.cpuUserSeconds);
+    w.key("cpu_system_seconds").number(r.cpuSystemSeconds);
+    w.key("maxrss_bytes").number(r.maxrssBytes);
+    w.key("minor_faults").number(r.minorFaults);
+    w.key("major_faults").number(r.majorFaults);
+    w.endObject();
 
-        Json links = Json::makeObject();
-        const std::string base = "/v1/campaigns/" + st.id;
-        links.set("analysis", Json::makeString(base + "/analysis"));
-        links.set("report", Json::makeString(base + "/report.html"));
-        links.set("roofline",
-                  Json::makeString(base + "/roofline.svg"));
-        doc.set("links", std::move(links));
-    }
-    return doc;
+    const std::string base = "/v1/campaigns/" + st.id;
+    w.key("links").beginObject();
+    w.key("analysis").string(base + "/analysis");
+    w.key("report").string(base + "/report.html");
+    w.key("roofline").string(base + "/roofline.svg");
+    w.endObject();
 }
 
 /**
@@ -138,7 +126,12 @@ endpointHistogram(const std::string &path)
 std::string
 statusJson(const JobStatus &st)
 {
-    return statusDoc(st).dump();
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    writeStatusMembers(w, st);
+    w.endObject();
+    return out;
 }
 
 ApiHandler::ApiHandler(JobQueue &queue, SessionTable &sessions)
@@ -311,21 +304,20 @@ ApiHandler::submitCampaign(const HttpRequest &req,
       case SubmitOutcome::Kind::Accepted:
       case SubmitOutcome::Kind::Deduplicated: {
         JobStatus st;
-        Json doc;
-        if (queue_.status(outcome.id, &st)) {
-            doc = statusDoc(st);
-        } else {
-            doc = Json::makeObject();
-            doc.set("id", Json::makeString(outcome.id));
-            doc.set("state",
-                    Json::makeString(jobStateName(outcome.state)));
-        }
-        doc.set("deduplicated",
-                Json::makeBool(outcome.kind ==
-                               SubmitOutcome::Kind::Deduplicated));
+        const bool known = queue_.status(outcome.id, &st);
         return jsonResponse(
             outcome.kind == SubmitOutcome::Kind::Accepted ? 202 : 200,
-            doc);
+            [&](JsonWriter &w) {
+                if (known) {
+                    writeStatusMembers(w, st);
+                } else {
+                    w.key("id").string(outcome.id);
+                    w.key("state").string(jobStateName(outcome.state));
+                }
+                w.key("deduplicated")
+                    .boolean(outcome.kind ==
+                             SubmitOutcome::Kind::Deduplicated);
+            });
       }
     }
     return jsonError(500, "unreachable submit outcome");
@@ -348,8 +340,10 @@ ApiHandler::campaignRoute(const HttpRequest &req)
     if (id.empty() || !queue_.status(id, &st))
         return jsonError(404, "unknown campaign ticket '" + id + "'");
 
-    if (artifact.empty())
-        return jsonResponse(200, statusDoc(st));
+    if (artifact.empty()) {
+        return jsonResponse(
+            200, [&](JsonWriter &w) { writeStatusMembers(w, st); });
+    }
 
     if (st.state == JobState::Failed)
         return jsonError(500, "campaign failed: " + st.error);
@@ -357,12 +351,12 @@ ApiHandler::campaignRoute(const HttpRequest &req)
         return jsonError(504, "campaign timed out: " + st.error +
                                   " (resubmit to retry)");
     if (st.state != JobState::Done) {
-        Json doc = statusDoc(st);
-        doc.set("error",
-                Json::makeString("campaign not finished; poll "
-                                 "/v1/campaigns/" +
-                                 id));
-        return jsonResponse(409, doc);
+        return jsonResponse(409, [&](JsonWriter &w) {
+            writeStatusMembers(w, st);
+            w.key("error").string("campaign not finished; poll "
+                                  "/v1/campaigns/" +
+                                  id);
+        });
     }
 
     // Fault-injection seam for artifact streaming: the client gets a
@@ -423,29 +417,25 @@ cachedPmuProbe()
     return probe;
 }
 
-/** The /healthz pmu block (shape asserted by tools/service_smoke.sh
- *  against `roofline_campaign --pmu-probe`). */
-Json
-pmuHealthJson()
+/** Write the /healthz pmu block (shape asserted by
+ *  tools/service_smoke.sh against `roofline_campaign --pmu-probe`). */
+void
+writePmuHealth(JsonWriter &w)
 {
     const pmu::PmuProbe &probe = cachedPmuProbe();
-    Json pmu = Json::makeObject();
-    pmu.set("available", Json::makeBool(probe.available));
-    pmu.set("paranoid", Json::makeNumber(probe.paranoid));
-    pmu.set("events_live", Json::makeNumber(probe.liveCount()));
-    pmu.set("events_dead", Json::makeNumber(probe.deadCount()));
-    Json events = Json::makeArray();
-    for (const pmu::ProbedEvent &e : probe.events) {
-        Json ev = Json::makeObject();
-        ev.set("event",
-               Json::makeString(pmu::eventName(e.mapping.id)));
-        ev.set("source", Json::makeString(e.mapping.fromEnv ? "env"
-                                                            : "default"));
-        ev.set("live", Json::makeBool(e.live));
-        events.push(std::move(ev));
-    }
-    pmu.set("events", std::move(events));
-    return pmu;
+    w.beginObject();
+    w.key("available").boolean(probe.available);
+    w.key("paranoid").number(probe.paranoid);
+    w.key("events_live").number(probe.liveCount());
+    w.key("events_dead").number(probe.deadCount());
+    w.key("events").beginArray();
+    for (const pmu::ProbedEvent &e : probe.events)
+        w.beginObject()
+            .key("event").string(pmu::eventName(e.mapping.id))
+            .key("source").string(e.mapping.fromEnv ? "env" : "default")
+            .key("live").boolean(e.live)
+            .endObject();
+    w.endArray().endObject();
 }
 
 } // namespace
@@ -453,29 +443,28 @@ pmuHealthJson()
 HttpResponse
 ApiHandler::health() const
 {
-    Json doc = Json::makeObject();
-    doc.set("status", Json::makeString("ok"));
-    doc.set(
-        "uptime_seconds",
-        Json::makeNumber(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count()));
-    // The same identity rfl_build_info carries in labels: "did the
-    // numbers change or did the binary?" answerable from a liveness
-    // probe.
-    const telemetry::BuildInfo &b = telemetry::buildInfo();
-    Json build = Json::makeObject();
-    build.set("git_sha", Json::makeString(b.gitSha));
-    build.set("compiler", Json::makeString(b.compiler));
-    build.set("build_type", Json::makeString(b.buildType));
-    build.set("profiler",
-              Json::makeBool(telemetry::Profiler::compiledIn()));
-    doc.set("build", std::move(build));
-    // Hardware measurement capability: whether backend=perf campaign
-    // rows on this host will carry real counters or degrade to
-    // unavailable placeholders.
-    doc.set("pmu", pmuHealthJson());
-    return jsonResponse(200, doc);
+    const double uptime = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start_)
+                              .count();
+    return jsonResponse(200, [&](JsonWriter &w) {
+        w.key("status").string("ok");
+        w.key("uptime_seconds").number(uptime);
+        // The same identity rfl_build_info carries in labels: "did the
+        // numbers change or did the binary?" answerable from a
+        // liveness probe.
+        const telemetry::BuildInfo &b = telemetry::buildInfo();
+        w.key("build").beginObject();
+        w.key("git_sha").string(b.gitSha);
+        w.key("compiler").string(b.compiler);
+        w.key("build_type").string(b.buildType);
+        w.key("profiler").boolean(telemetry::Profiler::compiledIn());
+        w.endObject();
+        // Hardware measurement capability: whether backend=perf
+        // campaign rows on this host will carry real counters or
+        // degrade to unavailable placeholders.
+        w.key("pmu");
+        writePmuHealth(w);
+    });
 }
 
 HttpResponse

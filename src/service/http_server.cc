@@ -13,8 +13,8 @@
 #include <unistd.h>
 
 #include "service/net_util.hh"
-#include "support/escape.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace rfl::service
@@ -424,11 +424,12 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
         if (rr == ReadResult::Malformed || rr == ReadResult::TooLarge) {
             HttpResponse err;
             err.status = rr == ReadResult::Malformed ? 400 : 413;
-            err.body = "{\"error\":\"";
-            err.body += rr == ReadResult::Malformed
-                            ? "malformed request"
-                            : "request too large";
-            err.body += "\"}";
+            JsonWriter(err.body)
+                .beginObject()
+                .key("error")
+                .string(rr == ReadResult::Malformed ? "malformed request"
+                                                    : "request too large")
+                .endObject();
             writeResponse(fd, err, false, opts_.chunkBytes);
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.parseErrors;
@@ -442,8 +443,11 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
         } catch (const std::exception &e) {
             resp = HttpResponse{};
             resp.status = 500;
-            resp.body = "{\"error\":\"internal: " +
-                        escapeJson(e.what()) + "\"}";
+            JsonWriter(resp.body)
+                .beginObject()
+                .key("error")
+                .string(std::string("internal: ") + e.what())
+                .endObject();
         }
 
         const bool clientClose =

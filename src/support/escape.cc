@@ -4,7 +4,7 @@ namespace rfl
 {
 
 void
-appendEscapedJson(std::string &out, const std::string &s)
+appendEscapedJson(std::string &out, std::string_view s)
 {
     static const char kHex[] = "0123456789abcdef";
     // Copy runs of bytes that need no escape in one append each.
@@ -28,15 +28,6 @@ appendEscapedJson(std::string &out, const std::string &s)
         }
     }
     out.append(s, run, s.size() - run);
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    appendEscapedJson(out, s);
-    return out;
 }
 
 std::string

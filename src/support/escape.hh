@@ -8,20 +8,18 @@
 #define RFL_SUPPORT_ESCAPE_HH
 
 #include <string>
+#include <string_view>
 
 namespace rfl
 {
 
 /**
- * Escape @p s for the inside of a double-quoted JSON string: quote,
- * backslash, \n, \t and \r get their short escapes, every other byte
- * below 0x20 becomes \u00XX, and all other bytes (UTF-8 included)
- * pass through.
+ * Append @p s escaped for the inside of a double-quoted JSON string:
+ * quote, backslash, \n, \t and \r get their short escapes, every
+ * other byte below 0x20 becomes \u00XX, and all other bytes (UTF-8
+ * included) pass through. JsonWriter is its one caller.
  */
-std::string escapeJson(const std::string &s);
-
-/** escapeJson(@p s) appended to @p out. */
-void appendEscapedJson(std::string &out, const std::string &s);
+void appendEscapedJson(std::string &out, std::string_view s);
 
 /**
  * Escape @p text for XML/HTML element content and double-quoted

@@ -6,20 +6,87 @@
 
 #include "support/escape.hh"
 #include "support/logging.hh"
-#include "support/number_format.hh"
 
 namespace rfl
 {
 
-void
-appendJsonNumber(std::string &out, double v)
+JsonWriter &
+JsonWriter::key(std::string_view k)
 {
+    separate();
+    out_ += '"';
+    appendEscapedJson(out_, k);
+    out_ += "\":";
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view v)
+{
+    separate();
+    out_ += '"';
+    appendEscapedJson(out_, v);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::boolean(bool v)
+{
+    separate();
+    out_ += v ? "true" : "false";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    separate();
+    out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double v)
+{
+    separate();
     if (std::isnan(v))
-        out += "nan";
+        out_ += "nan";
     else if (std::isinf(v))
-        out += v > 0 ? "inf" : "-inf";
+        out_ += v > 0 ? "inf" : "-inf";
     else
-        appendSig(out, v, kRoundTripDigits);
+        appendSig(out_, v, kRoundTripDigits);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::strictNumber(double v, int digits)
+{
+    separate();
+    if (std::isfinite(v))
+        appendSig(out_, v, digits);
+    else
+        out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view json)
+{
+    separate();
+    out_ += json;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::lineBreak()
+{
+    if (comma_)
+        out_ += ',';
+    comma_ = false;
+    out_ += '\n';
+    return *this;
 }
 
 namespace
@@ -115,7 +182,7 @@ class Parser
                   case 't': c = '\t'; break;
                   case 'r': c = '\r'; break;
                   case 'u': {
-                    // escapeJson() writes control bytes as \u00XX; the
+                    // The writer escapes control bytes as \u00XX; the
                     // ASCII range decodes to that one byte.
                     const std::string hex = text_.substr(pos_, 4);
                     if (hex.size() != 4 ||
@@ -351,48 +418,32 @@ std::string
 Json::dump() const
 {
     std::string out;
-    dumpTo(out);
+    JsonWriter w(out);
+    write(w);
     return out;
 }
 
 void
-Json::dumpTo(std::string &out) const
+Json::write(JsonWriter &w) const
 {
     switch (kind_) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::Number:
-        appendJsonNumber(out, num_);
-        break;
-      case Kind::String:
-        out += '"';
-        appendEscapedJson(out, str_);
-        out += '"';
-        break;
+      case Kind::Null: w.null(); break;
+      case Kind::Bool: w.boolean(bool_); break;
+      case Kind::Number: w.number(num_); break;
+      case Kind::String: w.string(str_); break;
       case Kind::Array:
-        out += '[';
-        for (size_t i = 0; i < arr_.size(); ++i) {
-            if (i)
-                out += ',';
-            arr_[i].dumpTo(out);
-        }
-        out += ']';
+        w.beginArray();
+        for (const Json &v : arr_)
+            v.write(w);
+        w.endArray();
         break;
       case Kind::Object:
-        out += '{';
-        for (size_t i = 0; i < obj_.size(); ++i) {
-            if (i)
-                out += ',';
-            out += '"';
-            appendEscapedJson(out, obj_[i].first);
-            out += "\":";
-            obj_[i].second.dumpTo(out);
+        w.beginObject();
+        for (const auto &[key, v] : obj_) {
+            w.key(key);
+            v.write(w);
         }
-        out += '}';
+        w.endObject();
         break;
     }
 }

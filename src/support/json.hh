@@ -1,26 +1,41 @@
 /**
  * @file
  * The one JSON value type, writer and parser: the result-cache spill,
- * analysis.json and the service's bodies.
+ * analysis.json, the service's bodies and the telemetry files.
  *
  * A deliberately small JSON subset — objects, arrays, strings, numbers,
- * booleans, null. Numbers round-trip bit-exactly ("%.17g", written by
- * support/number_format); NaN and infinity are emitted as bare nan/inf
- * tokens (accepted back by the parser), since cached measurements may
- * carry NaN analytic traffic.
+ * booleans, null.
+ *
+ * Every document the program emits is written by JsonWriter, the only
+ * code that places separators, escapes strings (support/escape) and
+ * renders numbers (support/number_format). Its number forms:
+ *   - number(): "%.17g", which round-trips every double bit-exactly,
+ *     with NaN and infinity as the bare tokens nan, inf and -inf. The
+ *     spill and analysis.json use it, since cached measurements may
+ *     carry NaN analytic traffic; the parser reads the tokens back.
+ *   - strictNumber(): strict JSON, null for a non-finite value; the
+ *     service bodies and telemetry files use it. Its digits argument
+ *     gives the series export's "%.9g" (a float's round-trip digits).
+ * Json::dump() renders a value tree through the same writer.
  *
  * Every document may come from outside the program, so reading never
- * aborts: bad syntax, a missing member or a wrong-kind value throws
- * JsonError. Building a value wrongly (push/set) is a bug and panics.
+ * aborts: bad syntax, a missing member, a wrong-kind value or a text
+ * longer than kMaxJsonBytes throws JsonError. Building a value wrongly
+ * (push/set) is a bug and panics.
  */
 
 #ifndef RFL_SUPPORT_JSON_HH
 #define RFL_SUPPORT_JSON_HH
 
+#include <charconv>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "support/number_format.hh"
 
 namespace rfl
 {
@@ -33,11 +48,91 @@ class JsonError : public std::runtime_error
 };
 
 /**
- * Append @p v as Json::dump renders a number: "%.17g", or the bare
- * nan/inf/-inf tokens. The one JSON number renderer, shared with
- * writers that build a document without a Json tree.
+ * Appends one JSON document to a caller's string (see file comment).
+ * Calls chain; a member is key() followed by one value call:
+ *
+ *   JsonWriter(out).beginObject().key("n").integer(3).endObject();
+ *
+ * The writer tracks only whether the next value needs a comma; it
+ * does not check nesting or that keys stand inside objects.
  */
-void appendJsonNumber(std::string &out, double v);
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::string &out) : out_(out) {}
+
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
+
+    /** Member key (escaped); the next call writes its value. */
+    JsonWriter &key(std::string_view k);
+
+    /** Escaped string value. */
+    JsonWriter &string(std::string_view v);
+
+    JsonWriter &boolean(bool v);
+    JsonWriter &null();
+
+    /** Exact decimal integer. */
+    template <typename Int>
+        requires std::is_integral_v<Int>
+    JsonWriter &
+    integer(Int v)
+    {
+        separate();
+        char buf[24];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        out_.append(buf, static_cast<size_t>(res.ptr - buf));
+        return *this;
+    }
+
+    /** "%.17g"; bare nan, inf and -inf when not finite. */
+    JsonWriter &number(double v);
+
+    /** "%.<digits>g"; null when not finite. */
+    JsonWriter &strictNumber(double v, int digits = kRoundTripDigits);
+
+    /** A value that is JSON text already, appended as is. */
+    JsonWriter &raw(std::string_view json);
+
+    /**
+     * End the line: the pending comma, if a value came before, then a
+     * newline. For documents with one value per line.
+     */
+    JsonWriter &lineBreak();
+
+  private:
+    /** The comma owed before the next value or key, if any. */
+    void
+    separate()
+    {
+        if (comma_)
+            out_ += ',';
+        comma_ = true;
+    }
+
+    JsonWriter &
+    open(char c)
+    {
+        separate();
+        out_ += c;
+        comma_ = false;
+        return *this;
+    }
+
+    JsonWriter &
+    close(char c)
+    {
+        out_ += c;
+        comma_ = true;
+        return *this;
+    }
+
+    std::string &out_;
+    bool comma_ = false;
+};
 
 /** Minimal JSON value (see file comment). */
 class Json
@@ -98,8 +193,8 @@ class Json
     static bool tryParse(const std::string &text, Json *out);
 
   private:
-    /** Append the compact rendering to @p out (see dump()). */
-    void dumpTo(std::string &out) const;
+    /** Write this value through @p w (see dump()). */
+    void write(JsonWriter &w) const;
 
     /** Throw JsonError unless this value is of kind @p want. */
     void expectKind(Kind want) const;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 
-#include "support/escape.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/number_format.hh"
 
@@ -13,16 +14,6 @@ namespace rfl::telemetry
 
 namespace
 {
-
-/** Round-trip digits like Json::dump (support/json). */
-void
-appendJsonNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v))
-        out += "null"; // strict JSON; callers avoid non-finite values
-    else
-        appendSig(out, v, kRoundTripDigits);
-}
 
 /** Prometheus label-value escaping: backslash, quote, newline. */
 std::string
@@ -40,23 +31,6 @@ escapeLabelValue(const std::string &s)
         else
             out += c;
     }
-    return out;
-}
-
-/** {a="x",b="y"} (empty string for no labels). */
-std::string
-labelSuffix(const Labels &labels)
-{
-    if (labels.empty())
-        return "";
-    std::string out = "{";
-    for (size_t i = 0; i < labels.size(); ++i) {
-        if (i)
-            out += ",";
-        out += labels[i].first + "=\"" +
-               escapeLabelValue(labels[i].second) + "\"";
-    }
-    out += "}";
     return out;
 }
 
@@ -82,6 +56,22 @@ promNumber(double v)
 }
 
 } // namespace
+
+std::string
+labelSuffix(const Labels &labels)
+{
+    if (labels.empty())
+        return "";
+    std::string out = "{";
+    for (size_t i = 0; i < labels.size(); ++i) {
+        if (i)
+            out += ",";
+        out += labels[i].first + "=\"" +
+               escapeLabelValue(labels[i].second) + "\"";
+    }
+    out += "}";
+    return out;
+}
 
 // ------------------------------------------------------------ Histogram
 
@@ -382,10 +372,10 @@ Registry::renderJsonGrouped()
 
     // Group by the naming convention "rfl_<group>_<rest>"; metrics not
     // matching it land in a group named by their first token.
-    std::string out = "{";
-    std::string openGroup;
-    bool firstGroup = true;
-    bool firstMember = true;
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    std::optional<std::string> openGroup;
     for (const auto &[key, e] : metrics_) {
         std::string name = e.name;
         if (name.rfind("rfl_", 0) == 0)
@@ -402,59 +392,51 @@ Registry::renderJsonGrouped()
         if (!e.labels.empty())
             member += labelSuffix(e.labels);
 
-        if (group != openGroup) {
-            if (!openGroup.empty())
-                out += "}";
-            if (!firstGroup)
-                out += ",";
-            firstGroup = false;
-            out += "\"";
-            appendEscapedJson(out, group);
-            out += "\":{";
-            openGroup = group;
-            firstMember = true;
+        if (openGroup != group) {
+            if (openGroup)
+                w.endObject();
+            w.key(group).beginObject();
+            openGroup = std::move(group);
         }
-        if (!firstMember)
-            out += ",";
-        firstMember = false;
-        out += "\"";
-        appendEscapedJson(out, member);
-        out += "\":";
+        w.key(member);
         switch (e.kind) {
           case Kind::Counter:
-            out += std::to_string(e.counter->value());
+            w.integer(e.counter->value());
             break;
           case Kind::Gauge:
-            appendJsonNumber(out, e.gauge->value());
+            w.strictNumber(e.gauge->value());
             break;
           case Kind::Histogram: {
             const Histogram &h = *e.histogram;
-            out.append("{\"count\":").append(std::to_string(h.count()))
-                .append(",\"sum\":");
-            appendJsonNumber(out, h.sum());
-            out += ",\"p50\":";
-            appendJsonNumber(out, h.quantile(0.5));
-            out += ",\"p90\":";
-            appendJsonNumber(out, h.quantile(0.9));
-            out += ",\"p99\":";
-            appendJsonNumber(out, h.quantile(0.99));
-            out += "}";
+            w.beginObject()
+                .key("count").integer(h.count())
+                .key("sum").strictNumber(h.sum())
+                .key("p50").strictNumber(h.quantile(0.5))
+                .key("p90").strictNumber(h.quantile(0.9))
+                .key("p99").strictNumber(h.quantile(0.99))
+                .endObject();
             break;
           }
         }
     }
-    if (!openGroup.empty())
-        out += "}";
-    out += "}";
+    if (openGroup)
+        w.endObject();
+    w.endObject();
     return out;
 }
 
 std::string
 Registry::renderMetricsJson(const std::string &campaign)
 {
-    return "{\"kind\":\"rfl-metrics\",\"schema_version\":1,"
-           "\"campaign\":\"" + campaign + "\",\"metrics\":" +
-           renderJsonGrouped() + "}";
+    std::string out;
+    JsonWriter(out)
+        .beginObject()
+        .key("kind").string("rfl-metrics")
+        .key("schema_version").integer(1)
+        .key("campaign").string(campaign)
+        .key("metrics").raw(renderJsonGrouped())
+        .endObject();
+    return out;
 }
 
 } // namespace rfl::telemetry

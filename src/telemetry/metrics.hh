@@ -50,6 +50,14 @@ namespace rfl::telemetry
 /** Metric label set (Prometheus dimensions), e.g. {{"kind","measure"}}. */
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
+/**
+ * {a="x",b="y"}, or "" for no labels: the label part of a metric's
+ * Prometheus name, with values escaped as Prometheus escapes them
+ * (backslash, quote, newline). The registry's keys and names and the
+ * time-series ids all use it.
+ */
+std::string labelSuffix(const Labels &labels);
+
 /** Monotonic event counter. inc() is one relaxed atomic add. */
 class Counter
 {

@@ -19,7 +19,9 @@
 #endif
 
 #include "support/escape.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
+#include "support/number_format.hh"
 
 namespace rfl::telemetry
 {
@@ -321,26 +323,26 @@ collapseStacks(const std::vector<std::vector<std::string>> &stacks)
 std::string
 renderProfileJson(const Profile &profile)
 {
-    std::ostringstream out;
-    out << "{\"kind\":\"rfl-profile\",\"schema_version\":1"
-        << ",\"label\":\"" << escapeJson(profile.label) << "\""
-        << ",\"hz\":" << profile.hz;
-    char times[128];
-    std::snprintf(times, sizeof(times),
-                  ",\"seconds\":%.6f,\"cpu_seconds\":%.6f"
-                  ",\"effective_hz\":%.3f",
-                  profile.seconds, profile.cpuSeconds,
-                  profile.effectiveHz());
-    out << times << ",\"samples\":" << profile.samples
-        << ",\"dropped\":" << profile.dropped << ",\"stacks\":[";
-    for (size_t i = 0; i < profile.stacks.size(); ++i) {
-        if (i)
-            out << ",";
-        out << "{\"stack\":\"" << escapeJson(profile.stacks[i].stack)
-            << "\",\"count\":" << profile.stacks[i].count << "}";
-    }
-    out << "]}";
-    return out.str();
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    w.key("kind").string("rfl-profile");
+    w.key("schema_version").integer(1);
+    w.key("label").string(profile.label);
+    w.key("hz").integer(profile.hz);
+    w.key("seconds").raw(fixedText(profile.seconds, 6));
+    w.key("cpu_seconds").raw(fixedText(profile.cpuSeconds, 6));
+    w.key("effective_hz").raw(fixedText(profile.effectiveHz(), 3));
+    w.key("samples").integer(profile.samples);
+    w.key("dropped").integer(profile.dropped);
+    w.key("stacks").beginArray();
+    for (const CollapsedStack &st : profile.stacks)
+        w.beginObject()
+            .key("stack").string(st.stack)
+            .key("count").integer(st.count)
+            .endObject();
+    w.endArray().endObject();
+    return out;
 }
 
 // ------------------------------------------------------ flamegraph SVG

@@ -2,7 +2,7 @@
 
 #include <ostream>
 
-#include "support/escape.hh"
+#include "support/json.hh"
 #include "telemetry/metrics.hh"
 
 namespace rfl::telemetry
@@ -16,26 +16,23 @@ thread_local TraceScope *tl_scope = nullptr;
 /** Scope buffers flush once they hold this many finished spans. */
 constexpr size_t kFlushThreshold = 1024;
 
-/** Append one chrome trace "complete" (ph=X) event object. */
+/** Write one chrome trace "complete" (ph=X) event object. */
 void
-appendEvent(std::string &out, const SpanRecord &s)
+writeEvent(JsonWriter &w, const SpanRecord &s)
 {
-    out += "{\"name\":\"";
-    appendEscapedJson(out, s.name);
-    out.append("\",\"ph\":\"X\",\"pid\":1,\"tid\":")
-        .append(std::to_string(s.tid))
-        .append(",\"ts\":").append(std::to_string(s.startUs))
-        .append(",\"dur\":").append(std::to_string(s.durUs))
-        .append(",\"args\":{\"id\":").append(std::to_string(s.id))
-        .append(",\"parent\":").append(std::to_string(s.parent));
-    for (const auto &[k, v] : s.attrs) {
-        out += ",\"";
-        appendEscapedJson(out, k);
-        out += "\":\"";
-        appendEscapedJson(out, v);
-        out += '"';
-    }
-    out += "}}";
+    w.beginObject();
+    w.key("name").string(s.name);
+    w.key("ph").string("X");
+    w.key("pid").integer(1);
+    w.key("tid").integer(s.tid);
+    w.key("ts").integer(s.startUs);
+    w.key("dur").integer(s.durUs);
+    w.key("args").beginObject();
+    w.key("id").integer(s.id);
+    w.key("parent").integer(s.parent);
+    for (const auto &[k, v] : s.attrs)
+        w.key(k).string(v);
+    w.endObject().endObject();
 }
 
 } // namespace
@@ -125,29 +122,32 @@ Tracer::droppedSpans() const
 std::string
 Tracer::renderChromeTrace() const
 {
-    std::string out = "{\"traceEvents\":[";
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("traceEvents").beginArray();
     std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < spans_.size(); ++i) {
-        if (i)
-            out += ',';
-        appendEvent(out, spans_[i]);
-    }
-    out += "]}";
+    for (const SpanRecord &s : spans_)
+        writeEvent(w, s);
+    w.endArray().endObject();
     return out;
 }
 
 void
 Tracer::writeTraceJsonl(std::ostream &os) const
 {
-    std::string out = "[\n";
+    std::string out;
+    JsonWriter w(out);
+    w.beginArray();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t i = 0; i < spans_.size(); ++i) {
-            appendEvent(out, spans_[i]);
-            out += i + 1 < spans_.size() ? ",\n" : "\n";
+        for (const SpanRecord &s : spans_) {
+            w.lineBreak();
+            writeEvent(w, s);
         }
     }
-    out += "]\n";
+    out += '\n';
+    w.endArray();
+    out += '\n';
     os << out;
 }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/escape.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/number_format.hh"
 
@@ -14,32 +15,9 @@ namespace rfl::telemetry
 namespace
 {
 
-/** Strict-JSON number ("%.9g": a float's round-trip digits);
- *  non-finite encodes as null. */
-void
-appendJsonNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v))
-        out += "null";
-    else
-        appendSig(out, v, 9);
-}
-
-/** {a="x",b="y"} (empty for no labels) — same shape as the registry. */
-std::string
-labelSuffix(const Labels &labels)
-{
-    if (labels.empty())
-        return "";
-    std::string out = "{";
-    for (size_t i = 0; i < labels.size(); ++i) {
-        if (i)
-            out += ",";
-        out += labels[i].first + "=\"" + labels[i].second + "\"";
-    }
-    out += "}";
-    return out;
-}
+/** Significant digits of a series point: a float's round-trip
+ *  digits ("%.9g"). */
+constexpr int kFloatDigits = 9;
 
 /** Human display value: SI-suffixed for magnitude, %.3g otherwise. */
 std::string
@@ -325,34 +303,27 @@ std::string
 TimeSeriesSampler::renderSeriesJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string out =
-        "{\"kind\":\"rfl-series\",\"schema_version\":1"
-        ",\"interval_seconds\":";
-    appendJsonNumber(out, opts_.intervalSeconds);
-    out.append(",\"capacity\":").append(std::to_string(opts_.capacity))
-        .append(",\"samples\":").append(std::to_string(samples_))
-        .append(",\"series\":[");
-    bool first = true;
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    w.key("kind").string("rfl-series");
+    w.key("schema_version").integer(1);
+    w.key("interval_seconds")
+        .strictNumber(opts_.intervalSeconds, kFloatDigits);
+    w.key("capacity").integer(opts_.capacity);
+    w.key("samples").integer(samples_);
+    w.key("series").beginArray();
     for (const auto &[id, s] : series_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"name\":\"";
-        appendEscapedJson(out, id);
-        out += "\",\"unit\":\"";
-        appendEscapedJson(out, s.unit);
-        out += "\",\"last\":";
-        appendJsonNumber(out, s.last);
-        out += ",\"points\":[";
-        const std::vector<float> pts = s.ordered();
-        for (size_t i = 0; i < pts.size(); ++i) {
-            if (i)
-                out += ",";
-            appendJsonNumber(out, pts[i]);
-        }
-        out += "]}";
+        w.beginObject();
+        w.key("name").string(id);
+        w.key("unit").string(s.unit);
+        w.key("last").strictNumber(s.last, kFloatDigits);
+        w.key("points").beginArray();
+        for (float v : s.ordered())
+            w.strictNumber(v, kFloatDigits);
+        w.endArray().endObject();
     }
-    out += "]}";
+    w.endArray().endObject();
     return out;
 }
 

@@ -26,7 +26,16 @@ namespace
 using rfl::Json;
 using rfl::JsonError;
 
-/** escapeJson's output for one byte, spelled out without snprintf. */
+/** appendEscapedJson on an empty string. */
+std::string
+escapedJson(const std::string &s)
+{
+    std::string out;
+    rfl::appendEscapedJson(out, s);
+    return out;
+}
+
+/** The JSON escape of one byte, spelled out without snprintf. */
 std::string
 expectedJsonEscape(unsigned char b)
 {
@@ -61,7 +70,7 @@ TEST(Escape, EveryByteEscapesAsBefore)
     std::string all;
     for (int b = 0; b < 256; ++b) {
         const std::string one(1, static_cast<char>(b));
-        EXPECT_EQ(rfl::escapeJson(one),
+        EXPECT_EQ(escapedJson(one),
                   expectedJsonEscape(static_cast<unsigned char>(b)))
             << "byte " << b;
         EXPECT_EQ(rfl::escapeXml(one),
@@ -69,7 +78,7 @@ TEST(Escape, EveryByteEscapesAsBefore)
             << "byte " << b;
         all += one;
     }
-    EXPECT_EQ(rfl::escapeJson("\x01 a\"b\\\x1f"),
+    EXPECT_EQ(escapedJson("\x01 a\"b\\\x1f"),
               "\\u0001 a\\\"b\\\\\\u001f");
     EXPECT_EQ(rfl::escapeXml("<a href=\"x\">&</a>"),
               "&lt;a href=&quot;x&quot;&gt;&amp;&lt;/a&gt;");
