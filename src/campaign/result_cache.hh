@@ -65,11 +65,8 @@ class ResultCache
     /** @return true and fill @p payload on a hit; counts hit/miss. */
     bool lookup(const std::string &key, std::string *payload);
 
-    /**
-     * Insert/overwrite @p key; appends to the spill file when set.
-     * @p payload must be one JSON value, as serialize.hh encodes it:
-     * the spill line nests it unchanged.
-     */
+    /** Insert/overwrite @p key; appends to the spill file when set.
+     *  @p payload is one JSON value (serialize.hh), nested as is. */
     void store(const std::string &key, const std::string &payload);
 
     /** @return true without touching hit/miss counters. */

@@ -1,6 +1,5 @@
 #include "campaign/serialize.hh"
 
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 
@@ -11,9 +10,9 @@ namespace
 {
 
 void
-writeSample(JsonWriter &w, const Sample &s)
+writeSample(JsonWriter &w, const char *key, const Sample &s)
 {
-    w.beginArray();
+    w.key(key).beginArray();
     for (double v : s.values())
         w.number(v);
     w.endArray();
@@ -46,12 +45,9 @@ encodeMeasurement(const roofline::Measurement &m)
     w.key("seconds").number(m.seconds);
     w.key("expected_flops").number(m.expectedFlops);
     w.key("expected_traffic_bytes").number(m.expectedTrafficBytes);
-    w.key("flops_sample");
-    writeSample(w, m.flopsSample);
-    w.key("traffic_sample");
-    writeSample(w, m.trafficSample);
-    w.key("seconds_sample");
-    writeSample(w, m.secondsSample);
+    writeSample(w, "flops_sample", m.flopsSample);
+    writeSample(w, "traffic_sample", m.trafficSample);
+    writeSample(w, "seconds_sample", m.secondsSample);
     // Appended after every pre-existing key so older payloads decode
     // with defaults and sim payload prefixes are unchanged.
     w.key("backend").string(m.backend);
@@ -146,9 +142,7 @@ namespace
 void
 u64Member(JsonWriter &w, const char *key, uint64_t v)
 {
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    w.key(key).string(std::string_view(buf, res.ptr - buf));
+    w.key(key).string(std::to_string(v));
 }
 
 uint64_t

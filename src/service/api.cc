@@ -191,10 +191,9 @@ ApiHandler::handle(const HttpRequest &req)
     // access-log line with the campaign job's root span.
     std::string requestId = req.header("x-request-id");
     if (requestId.empty()) {
-        requestId =
-            "r" + std::to_string(nextRequestId_.fetch_add(
-                                     1, std::memory_order_relaxed) +
-                                 1);
+        requestId = std::to_string(
+            nextRequestId_.fetch_add(1, std::memory_order_relaxed) + 1);
+        requestId.insert(requestId.begin(), 'r');
     }
 
     HttpResponse resp;

@@ -424,9 +424,7 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
         if (rr == ReadResult::Malformed || rr == ReadResult::TooLarge) {
             HttpResponse err;
             err.status = rr == ReadResult::Malformed ? 400 : 413;
-            JsonWriter(err.body)
-                .beginObject()
-                .key("error")
+            JsonWriter(err.body).beginObject().key("error")
                 .string(rr == ReadResult::Malformed ? "malformed request"
                                                     : "request too large")
                 .endObject();
@@ -443,9 +441,7 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
         } catch (const std::exception &e) {
             resp = HttpResponse{};
             resp.status = 500;
-            JsonWriter(resp.body)
-                .beginObject()
-                .key("error")
+            JsonWriter(resp.body).beginObject().key("error")
                 .string(std::string("internal: ") + e.what())
                 .endObject();
         }

@@ -10,13 +10,36 @@
 namespace rfl
 {
 
+void
+JsonWriter::separate()
+{
+    if (comma_)
+        out_ += ',';
+    comma_ = true;
+}
+
+JsonWriter &
+JsonWriter::open(char c)
+{
+    separate();
+    out_ += c;
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char c)
+{
+    out_ += c;
+    comma_ = true;
+    return *this;
+}
+
 JsonWriter &
 JsonWriter::key(std::string_view k)
 {
-    separate();
-    out_ += '"';
-    appendEscapedJson(out_, k);
-    out_ += "\":";
+    string(k);
+    out_ += ':';
     comma_ = false;
     return *this;
 }
@@ -32,42 +55,22 @@ JsonWriter::string(std::string_view v)
 }
 
 JsonWriter &
-JsonWriter::boolean(bool v)
-{
-    separate();
-    out_ += v ? "true" : "false";
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::null()
-{
-    separate();
-    out_ += "null";
-    return *this;
-}
-
-JsonWriter &
 JsonWriter::number(double v)
 {
-    separate();
     if (std::isnan(v))
-        out_ += "nan";
-    else if (std::isinf(v))
-        out_ += v > 0 ? "inf" : "-inf";
-    else
-        appendSig(out_, v, kRoundTripDigits);
-    return *this;
+        return raw("nan");
+    if (std::isinf(v))
+        return raw(v > 0 ? "inf" : "-inf");
+    return strictNumber(v);
 }
 
 JsonWriter &
 JsonWriter::strictNumber(double v, int digits)
 {
+    if (!std::isfinite(v))
+        return null();
     separate();
-    if (std::isfinite(v))
-        appendSig(out_, v, digits);
-    else
-        out_ += "null";
+    appendSig(out_, v, digits);
     return *this;
 }
 
@@ -451,6 +454,10 @@ Json::write(JsonWriter &w) const
 Json
 Json::parse(const std::string &text)
 {
+    if (text.size() > kMaxJsonBytes)
+        throw JsonError("document of " + std::to_string(text.size()) +
+                        " bytes exceeds the " +
+                        std::to_string(kMaxJsonBytes) + "-byte bound");
     Parser p(text);
     Json v = p.parseValue();
     p.expectEnd();

@@ -4,23 +4,16 @@
  * analysis.json, the service's bodies and the telemetry files.
  *
  * A deliberately small JSON subset — objects, arrays, strings, numbers,
- * booleans, null.
- *
- * Every document the program emits is written by JsonWriter, the only
- * code that places separators, escapes strings (support/escape) and
- * renders numbers (support/number_format). Its number forms:
- *   - number(): "%.17g", which round-trips every double bit-exactly,
- *     with NaN and infinity as the bare tokens nan, inf and -inf. The
- *     spill and analysis.json use it, since cached measurements may
- *     carry NaN analytic traffic; the parser reads the tokens back.
- *   - strictNumber(): strict JSON, null for a non-finite value; the
- *     service bodies and telemetry files use it. Its digits argument
- *     gives the series export's "%.9g" (a float's round-trip digits).
- * Json::dump() renders a value tree through the same writer.
+ * booleans, null. JsonWriter writes every document the program emits
+ * (Json::dump included): it alone places separators, escapes strings
+ * and renders numbers. number() writes "%.17g", which round-trips, and
+ * the bare nan/inf/-inf tokens the parser accepts back, since cached
+ * measurements may carry NaN analytic traffic. strictNumber() writes
+ * null for those instead; its digits argument gives the series' "%.9g".
  *
  * Every document may come from outside the program, so reading never
  * aborts: bad syntax, a missing member, a wrong-kind value or a text
- * longer than kMaxJsonBytes throws JsonError. Building a value wrongly
+ * over kMaxJsonBytes throws JsonError. Building a value wrongly
  * (push/set) is a bug and panics.
  */
 
@@ -40,6 +33,15 @@
 namespace rfl
 {
 
+/**
+ * Longest text Json::parse accepts. The program's own documents are far
+ * shorter: a cold `reproduce` writes spill lines of at most 532 bytes
+ * and analysis.json files of at most 14668, the committed analysis
+ * baseline is 24533. It also stays under the 1 MiB HTTP body bound, so
+ * an oversized JSON body is a 400 rather than a 413.
+ */
+constexpr size_t kMaxJsonBytes = 512 * 1024;
+
 /** Malformed JSON text, a missing member or a wrong-kind value. */
 class JsonError : public std::runtime_error
 {
@@ -48,13 +50,9 @@ class JsonError : public std::runtime_error
 };
 
 /**
- * Appends one JSON document to a caller's string (see file comment).
- * Calls chain; a member is key() followed by one value call:
- *
- *   JsonWriter(out).beginObject().key("n").integer(3).endObject();
- *
- * The writer tracks only whether the next value needs a comma; it
- * does not check nesting or that keys stand inside objects.
+ * Appends JSON to a caller's string; calls chain, and a member is key()
+ * then one value: w.beginObject().key("n").integer(3).endObject().
+ * Nesting is the caller's to get right.
  */
 class JsonWriter
 {
@@ -65,70 +63,35 @@ class JsonWriter
     JsonWriter &endObject() { return close('}'); }
     JsonWriter &beginArray() { return open('['); }
     JsonWriter &endArray() { return close(']'); }
-
-    /** Member key (escaped); the next call writes its value. */
+    /** Member key; the next call writes its value. */
     JsonWriter &key(std::string_view k);
-
-    /** Escaped string value. */
     JsonWriter &string(std::string_view v);
-
-    JsonWriter &boolean(bool v);
-    JsonWriter &null();
-
+    JsonWriter &boolean(bool v) { return raw(v ? "true" : "false"); }
+    JsonWriter &null() { return raw("null"); }
     /** Exact decimal integer. */
     template <typename Int>
         requires std::is_integral_v<Int>
     JsonWriter &
     integer(Int v)
     {
-        separate();
         char buf[24];
         const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-        out_.append(buf, static_cast<size_t>(res.ptr - buf));
-        return *this;
+        return raw({buf, static_cast<size_t>(res.ptr - buf)});
     }
-
     /** "%.17g"; bare nan, inf and -inf when not finite. */
     JsonWriter &number(double v);
-
     /** "%.<digits>g"; null when not finite. */
     JsonWriter &strictNumber(double v, int digits = kRoundTripDigits);
-
     /** A value that is JSON text already, appended as is. */
     JsonWriter &raw(std::string_view json);
-
-    /**
-     * End the line: the pending comma, if a value came before, then a
-     * newline. For documents with one value per line.
-     */
+    /** The owed comma, if any, then a newline: one value per line. */
     JsonWriter &lineBreak();
 
   private:
-    /** The comma owed before the next value or key, if any. */
-    void
-    separate()
-    {
-        if (comma_)
-            out_ += ',';
-        comma_ = true;
-    }
-
-    JsonWriter &
-    open(char c)
-    {
-        separate();
-        out_ += c;
-        comma_ = false;
-        return *this;
-    }
-
-    JsonWriter &
-    close(char c)
-    {
-        out_ += c;
-        comma_ = true;
-        return *this;
-    }
+    /** Write the comma owed before a value; the next one owes one. */
+    void separate();
+    JsonWriter &open(char c);
+    JsonWriter &close(char c);
 
     std::string &out_;
     bool comma_ = false;

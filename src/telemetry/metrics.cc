@@ -15,25 +15,6 @@ namespace rfl::telemetry
 namespace
 {
 
-/** Prometheus label-value escaping: backslash, quote, newline. */
-std::string
-escapeLabelValue(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '"')
-            out += "\\\"";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out += c;
-    }
-    return out;
-}
-
 /** Like labelSuffix but with extra label(s) appended (histogram le). */
 std::string
 labelSuffixWith(const Labels &labels, const std::string &key,
@@ -63,13 +44,21 @@ labelSuffix(const Labels &labels)
     if (labels.empty())
         return "";
     std::string out = "{";
-    for (size_t i = 0; i < labels.size(); ++i) {
-        if (i)
-            out += ",";
-        out += labels[i].first + "=\"" +
-               escapeLabelValue(labels[i].second) + "\"";
+    for (const auto &[name, value] : labels) {
+        if (out.size() > 1)
+            out += ',';
+        out.append(name).append("=\"");
+        for (char c : value) {
+            if (c == '\\' || c == '"')
+                out += '\\';
+            if (c == '\n')
+                out += "\\n";
+            else
+                out += c;
+        }
+        out += '"';
     }
-    out += "}";
+    out += '}';
     return out;
 }
 

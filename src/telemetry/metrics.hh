@@ -50,12 +50,8 @@ namespace rfl::telemetry
 /** Metric label set (Prometheus dimensions), e.g. {{"kind","measure"}}. */
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/**
- * {a="x",b="y"}, or "" for no labels: the label part of a metric's
- * Prometheus name, with values escaped as Prometheus escapes them
- * (backslash, quote, newline). The registry's keys and names and the
- * time-series ids all use it.
- */
+/** {a="x",b="y"} ("" for none), values Prometheus-escaped: the label
+ *  part of registry names and time-series ids. */
 std::string labelSuffix(const Labels &labels);
 
 /** Monotonic event counter. inc() is one relaxed atomic add. */
@@ -266,11 +262,8 @@ class Registry
      */
     std::string renderJsonGrouped();
 
-    /**
-     * The metrics.json of `roofline_campaign --telemetry-dir`:
-     * {"kind":"rfl-metrics","schema_version":1,"campaign":<name>,
-     * "metrics":<renderJsonGrouped()>} (no newline).
-     */
+    /** metrics.json of `roofline_campaign --telemetry-dir`: the
+     *  grouped snapshot in a kind/schema/campaign envelope. */
     std::string renderMetricsJson(const std::string &campaign);
 
   private:
