@@ -78,13 +78,11 @@ writePhaseRow(JsonWriter &w, const PhaseRow &r)
     w.key("total_seconds").number(t.totalSeconds);
     w.key("points").beginArray();
     for (const PhasePoint &p : t.points)
-        w.beginObject()
-            .key("oi").strictNumber(p.oi)
+        w.beginObject().key("oi").strictNumber(p.oi)
             .key("perf").number(p.perf)
             .key("flops").number(p.flops)
             .key("traffic_bytes").number(p.trafficBytes)
-            .key("seconds").number(p.seconds)
-            .endObject();
+            .key("seconds").number(p.seconds).endObject();
     w.endArray().endObject();
 }
 

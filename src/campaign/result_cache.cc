@@ -65,11 +65,8 @@ void
 appendSpillLine(std::string &out, const std::string &key,
                 const std::string &payload)
 {
-    JsonWriter(out)
-        .beginObject()
-        .key("key").string(key)
-        .key("payload").raw(payload)
-        .endObject();
+    JsonWriter(out).beginObject().key("key").string(key)
+        .key("payload").raw(payload).endObject();
     out += '\n';
 }
 

@@ -90,10 +90,8 @@ writeCeilings(JsonWriter &w, const std::vector<roofline::Ceiling> &ceilings)
 {
     w.beginArray();
     for (const roofline::Ceiling &c : ceilings)
-        w.beginObject()
-            .key("name").string(c.name)
-            .key("value").number(c.value)
-            .endObject();
+        w.beginObject().key("name").string(c.name)
+            .key("value").number(c.value).endObject();
     w.endArray();
 }
 
@@ -215,11 +213,9 @@ encodePhaseTrajectory(const analysis::PhaseTrajectory &t)
     // oi/perf are derived from the stored deltas on decode; the spill
     // line stays minimal.
     for (const analysis::PhasePoint &p : t.points)
-        w.beginObject()
-            .key("flops").number(p.flops)
+        w.beginObject().key("flops").number(p.flops)
             .key("traffic_bytes").number(p.trafficBytes)
-            .key("seconds").number(p.seconds)
-            .endObject();
+            .key("seconds").number(p.seconds).endObject();
     w.endArray().endObject();
     return out;
 }

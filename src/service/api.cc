@@ -128,8 +128,7 @@ statusJson(const JobStatus &st)
 {
     std::string out;
     JsonWriter w(out);
-    w.beginObject();
-    writeStatusMembers(w, st);
+    writeStatusMembers(w.beginObject(), st);
     w.endObject();
     return out;
 }
@@ -429,11 +428,9 @@ writePmuHealth(JsonWriter &w)
     w.key("events_dead").number(probe.deadCount());
     w.key("events").beginArray();
     for (const pmu::ProbedEvent &e : probe.events)
-        w.beginObject()
-            .key("event").string(pmu::eventName(e.mapping.id))
+        w.beginObject().key("event").string(pmu::eventName(e.mapping.id))
             .key("source").string(e.mapping.fromEnv ? "env" : "default")
-            .key("live").boolean(e.live)
-            .endObject();
+            .key("live").boolean(e.live).endObject();
     w.endArray().endObject();
 }
 

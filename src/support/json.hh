@@ -33,13 +33,9 @@
 namespace rfl
 {
 
-/**
- * Longest text Json::parse accepts. The program's own documents are far
- * shorter: a cold `reproduce` writes spill lines of at most 532 bytes
- * and analysis.json files of at most 14668, the committed analysis
- * baseline is 24533. It also stays under the 1 MiB HTTP body bound, so
- * an oversized JSON body is a 400 rather than a 413.
- */
+/** Longest text Json::parse accepts: far above the program's own
+ *  documents (a cold `reproduce`: 532-byte spill lines, a 14668-byte
+ *  analysis.json), below the 1 MiB HTTP body bound. */
 constexpr size_t kMaxJsonBytes = 512 * 1024;
 
 /** Malformed JSON text, a missing member or a wrong-kind value. */
@@ -88,7 +84,6 @@ class JsonWriter
     JsonWriter &lineBreak();
 
   private:
-    /** Write the comma owed before a value; the next one owes one. */
     void separate();
     JsonWriter &open(char c);
     JsonWriter &close(char c);

@@ -397,13 +397,11 @@ Registry::renderJsonGrouped()
             break;
           case Kind::Histogram: {
             const Histogram &h = *e.histogram;
-            w.beginObject()
-                .key("count").integer(h.count())
+            w.beginObject().key("count").integer(h.count())
                 .key("sum").strictNumber(h.sum())
                 .key("p50").strictNumber(h.quantile(0.5))
                 .key("p90").strictNumber(h.quantile(0.9))
-                .key("p99").strictNumber(h.quantile(0.99))
-                .endObject();
+                .key("p99").strictNumber(h.quantile(0.99)).endObject();
             break;
           }
         }
@@ -418,13 +416,10 @@ std::string
 Registry::renderMetricsJson(const std::string &campaign)
 {
     std::string out;
-    JsonWriter(out)
-        .beginObject()
-        .key("kind").string("rfl-metrics")
+    JsonWriter(out).beginObject().key("kind").string("rfl-metrics")
         .key("schema_version").integer(1)
         .key("campaign").string(campaign)
-        .key("metrics").raw(renderJsonGrouped())
-        .endObject();
+        .key("metrics").raw(renderJsonGrouped()).endObject();
     return out;
 }
 

@@ -337,10 +337,8 @@ renderProfileJson(const Profile &profile)
     w.key("dropped").integer(profile.dropped);
     w.key("stacks").beginArray();
     for (const CollapsedStack &st : profile.stacks)
-        w.beginObject()
-            .key("stack").string(st.stack)
-            .key("count").integer(st.count)
-            .endObject();
+        w.beginObject().key("stack").string(st.stack)
+            .key("count").integer(st.count).endObject();
     w.endArray().endObject();
     return out;
 }
