@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/json.hh"
 #include "telemetry/metrics.hh"
 
 namespace
@@ -201,6 +202,20 @@ TEST(Registry, JsonGroupingFollowsNamingConvention)
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
     EXPECT_EQ(json.find(",}"), std::string::npos);
+}
+
+TEST(Registry, MetricsJsonEscapesTheCampaignName)
+{
+    // metrics.json of a campaign whose name holds a quote, a backslash
+    // and a newline is still strict JSON and names it back.
+    Registry reg;
+    reg.gauge("rfl_queue_depth", "x").set(2);
+    const std::string json = reg.renderMetricsJson("a\"b\\c\nd");
+    rfl::Json doc;
+    ASSERT_TRUE(rfl::Json::tryParse(json, &doc)) << json;
+    EXPECT_EQ(doc.at("kind").asString(), "rfl-metrics");
+    EXPECT_EQ(doc.at("campaign").asString(), "a\"b\\c\nd");
+    EXPECT_EQ(doc.at("metrics").at("queue").at("depth").asNumber(), 2.0);
 }
 
 TEST(Registry, CollectorsRunOnRenderAndDeregisterWithHandle)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/json.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/timeseries.hh"
 
@@ -161,6 +162,30 @@ TEST(TimeSeries, SeriesJsonIsWellFormed)
               std::string::npos);
     EXPECT_EQ(json.find("nan"), std::string::npos);
     EXPECT_EQ(json.find("inf"), std::string::npos);
+}
+
+TEST(TimeSeries, QuotedLabelValueGivesTheRegistryName)
+{
+    // A label value with a quote, a backslash and a newline: the series
+    // id is the metric's Prometheus name, escaped the same way.
+    Registry reg;
+    const rfl::telemetry::Labels labels = {{"path", "a\"b\\c\nd"}};
+    reg.gauge("rfl_test_level", "t", labels).set(4.0);
+    TimeSeriesSampler sampler(reg, smallOpts(4));
+    sampler.sampleNow(1.0);
+
+    const std::string id = "rfl_test_level{path=\"a\\\"b\\\\c\\nd\"}";
+    EXPECT_EQ(id, "rfl_test_level" + rfl::telemetry::labelSuffix(labels));
+    EXPECT_NE(reg.renderPrometheus().find(id + " 4\n"), std::string::npos)
+        << reg.renderPrometheus();
+    ASSERT_EQ(sampler.points(id).size(), 1u);
+
+    rfl::Json doc;
+    ASSERT_TRUE(rfl::Json::tryParse(sampler.renderSeriesJson(), &doc));
+    int named = 0;
+    for (const rfl::Json &series : doc.at("series").asArray())
+        named += series.at("name").asString() == id;
+    EXPECT_EQ(named, 1);
 }
 
 TEST(TimeSeries, DashHtmlIsSelfContained)
