@@ -8,7 +8,7 @@
  * the way BENCH_sim_throughput.json tracks the simulator hot loop.
  *
  * Phases:
- *   1. cold submit:   one campaign, empty cache; submit -> poll ->
+ *   1. cold submit:   one campaign, empty cache; submit -> wait ->
  *      done wall time (includes simulation).
  *   2. cached submit: the same campaign content under a new name;
  *      it must execute without simulating (all jobs cache hits).
@@ -40,6 +40,7 @@
 #include "service/http_server.hh"
 #include "service/job_queue.hh"
 #include "service/session.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -62,22 +63,30 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Crude top-level "key":"value" extractor for flat JSON bodies. */
+/** @return @p body's top-level string member @p key; exits on a body
+ *  that is not a JSON object with that member. */
 std::string
 jsonField(const std::string &body, const std::string &key)
 {
-    const std::string needle = "\"" + key + "\":\"";
-    const size_t at = body.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const size_t start = at + needle.size();
-    return body.substr(start, body.find('"', start) - start);
+    Json doc;
+    if (!Json::tryParse(body, &doc) || doc.kind() != Json::Kind::Object ||
+        !doc.has(key) || doc.at(key).kind() != Json::Kind::String) {
+        std::fprintf(stderr, "no string '%s' in %s\n", key.c_str(),
+                     body.c_str());
+        std::exit(1);
+    }
+    return doc.at(key).asString();
 }
 
-/** Submit @p spec and poll until done; @return wall seconds. */
+/**
+ * Submit @p spec, block on the queue's completion signal and read the
+ * status; @return wall seconds. A client sleeping between polls would
+ * time its own poll interval, not the campaign. Exits unless the
+ * campaign ends done.
+ */
 double
-submitAndWait(HttpClient &client, const std::string &spec,
-              std::string *id)
+submitAndWait(HttpClient &client, const JobQueue &queue,
+              const std::string &spec, std::string *id)
 {
     const auto t0 = Clock::now();
     ClientResponse resp;
@@ -88,21 +97,21 @@ submitAndWait(HttpClient &client, const std::string &spec,
         std::exit(1);
     }
     *id = jsonField(resp.body, "id");
-    for (;;) {
-        if (!client.request("GET", "/v1/campaigns/" + *id, &resp)) {
-            std::fprintf(stderr, "poll failed\n");
-            std::exit(1);
-        }
-        const std::string state = jsonField(resp.body, "state");
-        if (state == "done")
-            return secondsSince(t0);
-        if (state == "failed") {
-            std::fprintf(stderr, "campaign failed: %s\n",
-                         resp.body.c_str());
-            std::exit(1);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!queue.waitFor(*id, 600.0)) {
+        std::fprintf(stderr, "campaign %s not finished in 600 s\n",
+                     id->c_str());
+        std::exit(1);
     }
+    if (!client.request("GET", "/v1/campaigns/" + *id, &resp)) {
+        std::fprintf(stderr, "status request failed\n");
+        std::exit(1);
+    }
+    const double seconds = secondsSince(t0);
+    if (jsonField(resp.body, "state") != "done") {
+        std::fprintf(stderr, "campaign ended %s\n", resp.body.c_str());
+        std::exit(1);
+    }
+    return seconds;
 }
 
 /** Latency series of one request kind across all clients. */
@@ -166,12 +175,12 @@ main(int argc, char **argv)
     HttpClient control("127.0.0.1", server.port());
     std::string cold_id;
     const double cold_seconds = submitAndWait(
-        control, std::string("name = svc-cold\n") + kCampaignBody,
+        control, queue, std::string("name = svc-cold\n") + kCampaignBody,
         &cold_id);
 
     std::string cached_id;
     const double cached_seconds = submitAndWait(
-        control, std::string("name = svc-cached\n") + kCampaignBody,
+        control, queue, std::string("name = svc-cached\n") + kCampaignBody,
         &cached_id);
 
     // The renamed-but-identical grid must not have simulated: every
