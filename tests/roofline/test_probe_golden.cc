@@ -7,11 +7,12 @@
  * The probes' values depend only on the simulated address stream they
  * emit (record kinds, addresses, widths, order) and the machine model.
  * `PlatformParts.*` compares the probes with themselves; this table
- * fails when the stream's effect on any value changes. The values were
- * measured with probes that streamed through real host buffers, so
- * they also pin that emitting simulated addresses directly changed
- * nothing. Update them only with a deliberate change of the probes or
- * of the simulator, and record it with the change.
+ * fails when the stream's effect on any value changes, and a TLB check
+ * pins where the probes' regions sit. The values were measured with
+ * probes that streamed through real host buffers, so they also pin
+ * that emitting simulated addresses directly changed nothing. Update
+ * them only with a deliberate change of the probes or of the
+ * simulator, and record it with the change.
  */
 
 #include <cstdint>
@@ -19,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/kernel.hh"
 #include "roofline/platform.hh"
 #include "sim/machine.hh"
+#include "support/address_arena.hh"
 
 namespace
 {
@@ -117,6 +120,53 @@ configNamed(const std::string &name)
     return sim::MachineConfig::scalarMachine();
 }
 
+/**
+ * Where the probe's regions sit. bandwidthPeak reserves a, then b
+ * (except for nt-set), then c (triad only), each at the next
+ * AddressArena region from baseAddress, whichever of them the probe
+ * touches. The probe's last flush empties the caches but not the TLBs,
+ * so each core's L1 DTLB still holds the last page its part touched in
+ * every region it loads from or stores to normally (nt-set's stores
+ * bypass the TLB). A layout with a region missing or moved fails here,
+ * even where the pinned values cannot see it.
+ */
+void
+expectLastPagesInTlb(const sim::Machine &machine, const Pinned &row)
+{
+    const sim::MachineConfig &cfg = machine.config();
+    const size_t doubles = static_cast<size_t>(
+        2 * cfg.l3.sizeBytes * static_cast<uint64_t>(cfg.sockets) / 8);
+    const uint64_t stride =
+        (doubles * 8 + AddressArena::regionAlign - 1) /
+        AddressArena::regionAlign * AddressArena::regionAlign;
+    const uint64_t a = AddressArena::baseAddress;
+    const uint64_t b = a + stride;
+    const uint64_t c = b + stride;
+    std::vector<uint64_t> touched;
+    switch (row.probe) {
+      case BwProbe::Read: touched = {b}; break;
+      case BwProbe::Copy:
+      case BwProbe::Scale: touched = {a, b}; break;
+      case BwProbe::Triad: touched = {a, b, c}; break;
+      case BwProbe::NtSet: break;
+    }
+    const size_t w = static_cast<size_t>(cfg.core.maxVectorDoubles);
+    for (int part = 0; part < row.cores; ++part) {
+        const auto [lo, hi] =
+            kernels::partitionRange(doubles, part, row.cores);
+        ASSERT_GE(hi - lo, w);
+        const size_t last = lo + ((hi - lo) / w - 1) * w;
+        for (uint64_t region : touched) {
+            sim::Tlb tlb = machine.tlb(part); // translate() updates LRU
+            EXPECT_EQ(tlb.translate(region + last * 8), 0.0)
+                << row.machine << " " << row.cores << "c "
+                << bwProbeName(row.probe) << ": core " << part
+                << " never touched the last page at 0x" << std::hex
+                << region + last * 8 << std::dec;
+        }
+    }
+}
+
 TEST(ProbeGolden, BandwidthProbesMatchPinnedValues)
 {
     for (const Pinned &row : kPinned) {
@@ -147,6 +197,7 @@ TEST(ProbeGolden, BandwidthProbesMatchPinnedValues)
         EXPECT_EQ(other, row.otherUops)
             << row.machine << " " << row.cores << "c "
             << bwProbeName(row.probe);
+        expectLastPagesInTlb(machine, row);
     }
 }
 
