@@ -10,31 +10,6 @@
 namespace rfl
 {
 
-void
-JsonWriter::separate()
-{
-    if (comma_)
-        out_ += ',';
-    comma_ = true;
-}
-
-JsonWriter &
-JsonWriter::open(char c)
-{
-    separate();
-    out_ += c;
-    comma_ = false;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::close(char c)
-{
-    out_ += c;
-    comma_ = true;
-    return *this;
-}
-
 JsonWriter &
 JsonWriter::key(std::string_view k)
 {
@@ -71,14 +46,6 @@ JsonWriter::strictNumber(double v, int digits)
         return null();
     separate();
     appendSig(out_, v, digits);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::raw(std::string_view json)
-{
-    separate();
-    out_ += json;
     return *this;
 }
 

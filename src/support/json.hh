@@ -79,14 +79,42 @@ class JsonWriter
     /** "%.<digits>g"; null when not finite. */
     JsonWriter &strictNumber(double v, int digits = kRoundTripDigits);
     /** A value that is JSON text already, appended as is. */
-    JsonWriter &raw(std::string_view json);
+    JsonWriter &
+    raw(std::string_view json)
+    {
+        separate();
+        out_ += json;
+        return *this;
+    }
     /** The owed comma, if any, then a newline: one value per line. */
     JsonWriter &lineBreak();
 
   private:
-    void separate();
-    JsonWriter &open(char c);
-    JsonWriter &close(char c);
+    /** Write the comma a value owes; the value after it owes one. */
+    void
+    separate()
+    {
+        if (comma_)
+            out_ += ',';
+        comma_ = true;
+    }
+
+    JsonWriter &
+    open(char c)
+    {
+        separate();
+        out_ += c;
+        comma_ = false;
+        return *this;
+    }
+
+    JsonWriter &
+    close(char c)
+    {
+        out_ += c;
+        comma_ = true;
+        return *this;
+    }
 
     std::string &out_;
     bool comma_ = false;
