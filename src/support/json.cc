@@ -4,30 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "support/escape.hh"
 #include "support/logging.hh"
 
 namespace rfl
 {
-
-JsonWriter &
-JsonWriter::key(std::string_view k)
-{
-    string(k);
-    out_ += ':';
-    comma_ = false;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::string(std::string_view v)
-{
-    separate();
-    out_ += '"';
-    appendEscapedJson(out_, v);
-    out_ += '"';
-    return *this;
-}
 
 JsonWriter &
 JsonWriter::number(double v)

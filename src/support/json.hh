@@ -20,6 +20,8 @@
 #ifndef RFL_SUPPORT_JSON_HH
 #define RFL_SUPPORT_JSON_HH
 
+#include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <stdexcept>
 #include <string>
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/escape.hh"
 #include "support/number_format.hh"
 
 namespace rfl
@@ -60,8 +63,40 @@ class JsonWriter
     JsonWriter &beginArray() { return open('['); }
     JsonWriter &endArray() { return close(']'); }
     /** Member key; the next call writes its value. */
-    JsonWriter &key(std::string_view k);
-    JsonWriter &string(std::string_view v);
+    JsonWriter &
+    key(std::string_view k)
+    {
+        string(k);
+        out_ += ':';
+        comma_ = false;
+        return *this;
+    }
+    /** A string-literal key, written unescaped: the program's literal
+     *  keys are plain names, and most documents are mostly keys. */
+    template <size_t N>
+    JsonWriter &
+    key(const char (&k)[N])
+    {
+        assert(std::none_of(k, k + N - 1, [](char c) {
+            return c == '"' || c == '\\' ||
+                   static_cast<unsigned char>(c) < 0x20;
+        }));
+        separate();
+        out_ += '"';
+        out_.append(k, N - 1);
+        out_ += "\":";
+        comma_ = false;
+        return *this;
+    }
+    JsonWriter &
+    string(std::string_view v)
+    {
+        separate();
+        out_ += '"';
+        appendEscapedJson(out_, v);
+        out_ += '"';
+        return *this;
+    }
     JsonWriter &boolean(bool v) { return raw(v ? "true" : "false"); }
     JsonWriter &null() { return raw("null"); }
     /** Exact decimal integer. */
