@@ -29,16 +29,6 @@ JsonWriter::strictNumber(double v, int digits)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::lineBreak()
-{
-    if (comma_)
-        out_ += ',';
-    comma_ = false;
-    out_ += '\n';
-    return *this;
-}
-
 namespace
 {
 
@@ -401,10 +391,6 @@ Json::write(JsonWriter &w) const
 Json
 Json::parse(const std::string &text)
 {
-    if (text.size() > kMaxJsonBytes)
-        throw JsonError("document of " + std::to_string(text.size()) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxJsonBytes) + "-byte bound");
     Parser p(text);
     Json v = p.parseValue();
     p.expectEnd();

@@ -12,9 +12,13 @@
  * null for those instead; its digits argument gives the series' "%.9g".
  *
  * Every document may come from outside the program, so reading never
- * aborts: bad syntax, a missing member, a wrong-kind value or a text
- * over kMaxJsonBytes throws JsonError. Building a value wrongly
- * (push/set) is a bug and panics.
+ * aborts: bad syntax, a missing member or a wrong-kind value throws
+ * JsonError. The parser bounds nesting, not size: the program's own
+ * documents grow with the spec (a phase trajectory has one point per
+ * sampling period, analysis.json one row per job), so no fixed length
+ * holds them all; a text from the network is bounded by the HTTP
+ * server's request limit. Building a value wrongly (push/set) is a bug
+ * and panics.
  */
 
 #ifndef RFL_SUPPORT_JSON_HH
@@ -35,11 +39,6 @@
 
 namespace rfl
 {
-
-/** Longest text Json::parse accepts: far above the program's own
- *  documents (a cold `reproduce`: 532-byte spill lines, a 14668-byte
- *  analysis.json), below the 1 MiB HTTP body bound. */
-constexpr size_t kMaxJsonBytes = 512 * 1024;
 
 /** Malformed JSON text, a missing member or a wrong-kind value. */
 class JsonError : public std::runtime_error
@@ -121,8 +120,6 @@ class JsonWriter
         out_ += json;
         return *this;
     }
-    /** The owed comma, if any, then a newline: one value per line. */
-    JsonWriter &lineBreak();
 
   private:
     /** Write the comma a value owes; the value after it owes one. */

@@ -135,19 +135,16 @@ Tracer::renderChromeTrace() const
 void
 Tracer::writeTraceJsonl(std::ostream &os) const
 {
-    std::string out;
-    JsonWriter w(out);
-    w.beginArray();
+    std::string out = "[\n";
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const SpanRecord &s : spans_) {
-            w.lineBreak();
-            writeEvent(w, s);
+        for (size_t i = 0; i < spans_.size(); ++i) {
+            JsonWriter w(out);
+            writeEvent(w, spans_[i]);
+            out += i + 1 < spans_.size() ? ",\n" : "\n";
         }
     }
-    out += '\n';
-    w.endArray();
-    out += '\n';
+    out += "]\n";
     os << out;
 }
 

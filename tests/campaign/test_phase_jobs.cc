@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -132,6 +134,66 @@ TEST(PhaseJobs, PayloadRoundTripsAndCacheAnswersReruns)
     EXPECT_EQ(cached.points.size(), traj.points.size());
     EXPECT_EQ(cached.totalFlops, traj.totalFlops);
     EXPECT_EQ(cached.totalSeconds, traj.totalSeconds);
+}
+
+TEST(PhaseJobs, LongTrajectoryReloadsFromTheSpill)
+{
+    // A trajectory has one point per sampling period, so its spill line
+    // and its analysis.json grow with the kernel: neither has a fixed
+    // largest size. Here both pass half a MiB and must still read back,
+    // from the cache that stored it and from a later one on its spill.
+    constexpr size_t kLong = 512 * 1024;
+    analysis::PhaseTrajectory traj;
+    traj.kernel = "dgemm-naive";
+    traj.sizeLabel = "n=256";
+    traj.protocol = "cold";
+    traj.period = 1;
+    for (int i = 0; i < 8000; ++i) {
+        analysis::PhasePoint p;
+        p.flops = 8192.0;
+        p.trafficBytes = 640.0 + 64.0 * (i % 7);
+        p.seconds = 1.0e-6 / (3.0 + i % 11);
+        traj.totalFlops += p.flops;
+        traj.totalTrafficBytes += p.trafficBytes;
+        traj.totalSeconds += p.seconds;
+        traj.points.push_back(p);
+    }
+    const std::string payload = encodePhaseTrajectory(traj);
+    const std::string key = "phase|cfg|dgemm-naive:n=256|period=1|o";
+    const std::string path =
+        ::testing::TempDir() + "rfl_phase_long_test.jsonl";
+    std::remove(path.c_str());
+    std::remove((path + ".quarantine").c_str());
+    std::string got;
+    {
+        ResultCache cache(path);
+        cache.store(key, payload);
+        ASSERT_TRUE(cache.lookup(key, &got));
+        EXPECT_EQ(decodePhaseTrajectory(got).points.size(), 8000u);
+    }
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_GT(line.size(), kLong);
+
+    ResultCache reload(path);
+    EXPECT_EQ(reload.stats().preloaded, 1u);
+    EXPECT_EQ(reload.stats().quarantined, 0u);
+    ASSERT_TRUE(reload.lookup(key, &got));
+    EXPECT_EQ(got, payload);
+    const analysis::PhaseTrajectory back = decodePhaseTrajectory(got);
+    ASSERT_EQ(back.points.size(), traj.points.size());
+    EXPECT_EQ(back.points.back().seconds, traj.points.back().seconds);
+    std::remove(path.c_str());
+
+    // analysis.json carries each point's oi and perf too.
+    analysis::CampaignAnalysis doc;
+    doc.campaign = "phase-long";
+    doc.phases.push_back({"small", "cold-1c", back});
+    const std::string text = analysis::encodeAnalysis(doc);
+    EXPECT_GT(text.size(), kLong);
+    EXPECT_EQ(analysis::encodeAnalysis(analysis::decodeAnalysis(text)),
+              text);
 }
 
 TEST(PhaseJobs, AnalyzeCampaignIngestsEverything)

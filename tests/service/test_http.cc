@@ -200,20 +200,6 @@ TEST_F(HttpServiceTest, DeeplyNestedJsonBodyAnswers400AndServerSurvives)
     EXPECT_EQ(resp.status, 200);
 }
 
-TEST_F(HttpServiceTest, OversizedJsonBodyAnswers400)
-{
-    // Within the HTTP body bound, one byte over the JSON parser's.
-    HttpClient client("127.0.0.1", server_->port());
-    ClientResponse resp;
-    const std::string head = "{\"spec\":\"";
-    const std::string body =
-        head + std::string(kMaxJsonBytes - head.size() - 1, ' ') + "\"}";
-    ASSERT_EQ(body.size(), kMaxJsonBytes + 1);
-    ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, body,
-                               "application/json"));
-    EXPECT_EQ(resp.status, 400) << resp.body;
-}
-
 TEST_F(HttpServiceTest, HostileKernelSpecsAnswer400AndServerSurvives)
 {
     // Each of these once aborted, crashed or silently misran the

@@ -128,34 +128,6 @@ TEST(Json, ReadErrorsThrowJsonError)
     }
 }
 
-TEST(Json, SizeBoundAcceptsTheBoundAndRejectsOneByteMore)
-{
-    // A string document of exactly kMaxJsonBytes parses ...
-    std::string text = "\"" + std::string(rfl::kMaxJsonBytes - 2, 'a') +
-                       "\"";
-    ASSERT_EQ(text.size(), rfl::kMaxJsonBytes);
-    EXPECT_EQ(Json::parse(text).asString().size(),
-              rfl::kMaxJsonBytes - 2);
-    // ... and one byte more (trailing space: valid JSON otherwise)
-    // throws, before any parsing.
-    text += ' ';
-    EXPECT_THROW(Json::parse(text), JsonError);
-    Json out;
-    EXPECT_FALSE(Json::tryParse(text, &out));
-
-    // An analysis.json over the bound is the user's error to fix,
-    // reported as one: roofline_report --diff exits 1 on it.
-    rfl::analysis::CampaignAnalysis doc;
-    doc.campaign = "big";
-    std::string analysis = rfl::analysis::encodeAnalysis(doc);
-    EXPECT_NO_THROW(rfl::analysis::decodeAnalysis(analysis));
-    analysis.resize(rfl::kMaxJsonBytes + 1, ' ');
-    const bool wasThrowing = rfl::setFatalThrows(true);
-    EXPECT_THROW(rfl::analysis::decodeAnalysis(analysis),
-                 rfl::FatalError);
-    rfl::setFatalThrows(wasThrowing);
-}
-
 /** One fuzz target: a valid document and the decoder that reads it. */
 struct FuzzTarget
 {
