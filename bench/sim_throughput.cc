@@ -17,8 +17,10 @@
  *    L3-resident stream), isolating the demand-access path without
  *    kernel arithmetic or address translation on top;
  *  - kernel tier: registered kernels (daxpy, triad, sum,
- *    pointer-chase) driven through SimEngine, the end-to-end rate a
- *    campaign sweep experiences.
+ *    pointer-chase, and the blocked dgemm-opt with its operands in the
+ *    L3, whose packed-panel lines overflow the resident-line filter)
+ *    driven through SimEngine, the end-to-end rate a campaign sweep
+ *    experiences.
  *
  * Every measurement is best-of-N timed windows (N=3, 2 under
  * $RFL_FAST) so host scheduling noise cannot put a spurious regression
@@ -216,6 +218,8 @@ main(int argc, char **argv)
         {"sum-scalar", "sum:n=" + sn, 0, 1, true, false},
         {"pointer-chase",
          "pointer-chase:nodes=16384,hops=" + sn, 0, 1, false, false},
+        // 3 x 128 KiB of operands: past the 256 KiB L2, in the L3.
+        {"dgemm-opt-l3", "dgemm-opt:n=128", 0, 4, false, false},
     };
 
     std::printf("%-14s %13s %13s %13s %8s %8s\n", "workload",

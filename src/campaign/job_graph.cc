@@ -136,9 +136,12 @@ std::string
 phaseSampleCacheKey(const sim::MachineConfig &config,
                     const PhaseEntry &phase, const RunOptions &opts)
 {
+    // "sampler=2": dependent-chain kernels are sampled since the
+    // sampler stopped the latency bypass; entries stored before that
+    // hold a one-point trajectory and must not be served.
     return "phase|" + hashToHex(config.stableHash()) + "|" +
            phase.spec + "|period=" + std::to_string(phase.period) +
-           "|" + opts.canonicalKey();
+           "|sampler=2|" + opts.canonicalKey();
 }
 
 std::string

@@ -159,7 +159,10 @@ std::string traceReplayCacheKey(const sim::MachineConfig &config,
 
 /**
  * Cache key of a phase-sample run:
- * "phase|<machine-hash>|<kernel spec>|period=N|<canonical options>".
+ * "phase|<machine-hash>|<kernel spec>|period=N|sampler=2|<canonical
+ * options>". The sampler revision retires entries stored while
+ * dependent-chain kernels bypassed the sampler (one-point
+ * trajectories).
  */
 std::string phaseSampleCacheKey(const sim::MachineConfig &config,
                                 const PhaseEntry &phase,

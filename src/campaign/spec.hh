@@ -48,7 +48,9 @@
  * the result is a PhaseTrajectory — the kernel's per-interval (I, P)
  * path through roofline space — consumed by the analysis subsystem
  * (analysis/phase.hh). `period` is the sampling period in demand
- * accesses (default 8192).
+ * accesses (default 8192). Samples are taken only when a batch of
+ * buffered accesses is drained (up to 4096 records), so a period below
+ * one batch is coarsened to one sample per drain.
  *
  * The campaign layer expands the grid into a JobGraph (job_graph.hh)
  * where every (machine, variant) core-set gets one ceiling-

@@ -550,15 +550,18 @@ class SimEngine : public EngineOps<SimEngine>,
      * because setDependentAccesses() drains attached sources before
      * toggling, so the buffer is empty whenever the mode flips; FP and
      * uop retirements keep accumulating (they commute with every
-     * memory access, see onFp). Disabled while recording: a trace
-     * must contain every record. prevLine_ is cleared so a stale
-     * same-line hint can never leak across a bypass period.
+     * memory access, see onFp). Disabled while recording, since a trace
+     * must contain every record, and while a sample period is set,
+     * since the interval sampler checks only at batch drains
+     * (setSamplePeriod() drains too, so the flip is just as safe).
+     * prevLine_ is cleared so a stale same-line hint can never leak
+     * across a bypass period.
      */
     bool
     bypassBatching()
     {
-        if (!machine_.dependentAccesses() || writer_ != nullptr)
-            [[likely]] {
+        if (!machine_.dependentAccesses() || writer_ != nullptr ||
+            machine_.samplePeriod() != 0) [[likely]] {
             return false;
         }
         prevLine_ = ~0ull;

@@ -112,7 +112,7 @@ Cache::fill(uint64_t line_addr, bool write, bool prefetch)
 bool
 Cache::invalidate(uint64_t line_addr)
 {
-    const size_t idx = findWayIdx(line_addr);
+    const size_t idx = findWay(line_addr);
     if (idx == kNoWay)
         return false;
     const bool was_dirty = (flags_[idx] & kDirty) != 0;

@@ -73,6 +73,9 @@ class Cache
         uint64_t lineAddr = 0;
     };
 
+    /** findWay() result for a line that is not resident. */
+    static constexpr size_t kNoWay = static_cast<size_t>(-1);
+
     /**
      * Probe for @p line_addr. On a hit the replacement state is updated
      * and the line is dirtied when @p write.
@@ -81,8 +84,19 @@ class Cache
     bool
     lookup(uint64_t line_addr, bool write)
     {
+        return lookupWay(findWay(line_addr), write);
+    }
+
+    /**
+     * lookup() with the tag check already done: @p idx is findWay() of
+     * the probed line, taken with no cache operation in between. The
+     * Machine's batched consume checks the tags once and hands a miss
+     * (or a prefetched line's first demand touch) here.
+     */
+    bool
+    lookupWay(size_t idx, bool write)
+    {
         ++tick_;
-        const size_t idx = findWayIdx(line_addr);
         if (idx == kNoWay) {
             if (write)
                 ++stats_.writeMisses;
@@ -118,14 +132,48 @@ class Cache
     bool
     contains(uint64_t line_addr) const
     {
-        return findWayIdx(line_addr) != kNoWay;
+        return findWay(line_addr) != kNoWay;
+    }
+
+    /**
+     * Locate @p line_addr.
+     * @return flat way slot, or kNoWay. No architectural state update;
+     * maintains the MRU memo (mutable members, pure acceleration).
+     */
+    size_t
+    findWay(uint64_t line_addr) const
+    {
+        if (mruWay_ != kNoWay && mruLine_ == line_addr)
+            return mruWay_;
+        const size_t base =
+            static_cast<size_t>(setIndex(line_addr)) * config_.assoc;
+        const uint64_t tag = tagOf(line_addr);
+        const uint64_t *tags = tags_.data() + base;
+        for (uint32_t w = 0; w < config_.assoc; ++w) {
+            if (tags[w] == tag) {
+                if (mruEnabled_) {
+                    mruWay_ = base + w;
+                    mruLine_ = line_addr;
+                }
+                return base + w;
+            }
+        }
+        return kNoWay;
+    }
+
+    /** @return whether way slot @p idx holds a prefetched line that no
+     *  demand access has touched yet. */
+    bool
+    isPrefetched(size_t idx) const
+    {
+        return (flags_[idx] & kPrefetched) != 0;
     }
 
     /** @return true when present and dirty (no state update). */
     bool
     isDirty(uint64_t line_addr) const
     {
-        const size_t idx = findWayIdx(line_addr);
+        const size_t idx = findWay(line_addr);
         return idx != kNoWay && (flags_[idx] & kDirty);
     }
 
@@ -137,7 +185,7 @@ class Cache
     bool
     setDirty(uint64_t line_addr)
     {
-        const size_t idx = findWayIdx(line_addr);
+        const size_t idx = findWay(line_addr);
         if (idx == kNoWay)
             return false;
         flags_[idx] |= kDirty;
@@ -244,8 +292,6 @@ class Cache
      * >> 6), so it can never match a real tag and validity needs no
      * separate flag on the lookup path. */
     static constexpr uint64_t kInvalidTag = ~0ull;
-    /** Sentinel for "no way found" / "no memoized way". */
-    static constexpr size_t kNoWay = static_cast<size_t>(-1);
 
     uint32_t
     setIndex(uint64_t line_addr) const
@@ -271,32 +317,6 @@ class Cache
         if (pow2Sets_)
             return (tags_[idx] << setShift_) | set;
         return tags_[idx] * numSets_ + set;
-    }
-
-    /**
-     * Locate @p line_addr.
-     * @return flat way index, or kNoWay. Maintains the MRU memo
-     * (mutable members; pure acceleration, hence usable from const).
-     */
-    size_t
-    findWayIdx(uint64_t line_addr) const
-    {
-        if (mruWay_ != kNoWay && mruLine_ == line_addr)
-            return mruWay_;
-        const size_t base =
-            static_cast<size_t>(setIndex(line_addr)) * config_.assoc;
-        const uint64_t tag = tagOf(line_addr);
-        const uint64_t *tags = tags_.data() + base;
-        for (uint32_t w = 0; w < config_.assoc; ++w) {
-            if (tags[w] == tag) {
-                if (mruEnabled_) {
-                    mruWay_ = base + w;
-                    mruLine_ = line_addr;
-                }
-                return base + w;
-            }
-        }
-        return kNoWay;
     }
 
     uint32_t pickVictim(uint32_t set);

@@ -25,8 +25,6 @@ memPolicyName(MemPolicy policy)
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), lineBytes_(cfg.l1.lineBytes),
       lineShift_(static_cast<uint32_t>(std::countr_zero(cfg.l1.lineBytes))),
-      pageShift_(static_cast<uint32_t>(std::countr_zero(
-          static_cast<uint32_t>(cfg.tlb.pageBytes)))),
       numCores_(cfg.totalCores()), tlbEnabled_(cfg.tlb.enabled),
       l1pfCheapRepeat_(cfg.l1Prefetcher.kind != PrefetcherKind::Stream)
 {
@@ -114,12 +112,12 @@ Machine::homeSocket(uint64_t addr, int accessor_socket) const
 }
 
 void
-Machine::accessLineFull(int core, uint64_t line_addr, bool write)
+Machine::accessLineFull(int core, uint64_t line_addr, bool write,
+                        size_t l1_way)
 {
     RFL_ASSERT(core >= 0 && core < numCores());
     const int socket = socketOf(core);
     CoreCounters &cc = cores_[core];
-    CoreFast &fs = fast_[static_cast<size_t>(core)];
     // The line's byte address: computed once, reused by the TLB, the
     // NUMA home lookup and the DRAM path.
     const uint64_t byte_addr = line_addr << lineShift_;
@@ -130,13 +128,12 @@ Machine::accessLineFull(int core, uint64_t line_addr, bool write)
         ntCombine_[static_cast<size_t>(core)] = ~0ull;
 
     // Address translation first; a DTLB miss serializes before the
-    // cache access can begin. Same-page streaks skip the TLB arrays:
-    // the page was translated by this core's previous translation, so
-    // the L1 DTLB hit (zero latency) is guaranteed.
-    translatePage(core, fs, byte_addr);
+    // cache access can begin. A page that is its DTLB set's MRU skips
+    // the TLB arrays: the L1 DTLB hit (zero latency) is guaranteed.
+    translatePage(core, byte_addr);
 
-    // L1 probe.
-    const bool l1_hit = l1_[core]->lookup(line_addr, write);
+    // L1 probe, its tag check done by the caller.
+    const bool l1_hit = l1_[core]->lookupWay(l1_way, write);
 
     // The DCU (L1) prefetcher observes the L1 access stream. Separate
     // per-level scratch buffers: the L1 candidate list stays intact
@@ -189,11 +186,12 @@ Machine::accessLineFull(int core, uint64_t line_addr, bool write)
     // The accessed line is resident now (hit, or just filled): admit it
     // to the resident-line filter, remembering its L1 way (the last L1
     // operation above — demand lookup or demand fill — touched exactly
-    // this line). Prefetch fills below may displace L1 lines and drop
-    // it again — serviced after the demand access completed, exactly as
-    // before.
+    // this line). Every caller found it missing from the filter. Prefetch
+    // fills below may displace L1 lines and drop it again — serviced
+    // after the demand access completed, exactly as before.
     if (fastPath_)
-        fs.noteHit(line_addr, l1_[core]->lastTouchedWay());
+        fast_[static_cast<size_t>(core)].admit(
+            line_addr, l1_[core]->lastTouchedWay());
     for (uint64_t pf_line : scratch.l1)
         prefetchLine(core, pf_line, 1);
     for (uint64_t pf_line : scratch.l2)
@@ -459,62 +457,69 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
             // same-line with its predecessor, hence transitively with
             // the run base; traces without flags (decoded replays)
             // lose runs, never correctness.
+            //
+            // A filter miss checks the L1 tags once. A resident line
+            // whose prefetched bit is clear and that is not the
+            // write-combining line is a plain hit, exactly the filter's
+            // case, so it is admitted and starts a run. Only a real miss
+            // or a prefetched line's first demand touch (which counts a
+            // prefetch hit) takes the full path, with the tag check in
+            // hand.
             if (coalesce && last == line) {
-                const int slot = fs.find(line);
-                if (slot >= 0) {
-                    // Resident single-line access: translate the base
-                    // exactly as the per-access fast path would (page
-                    // streak or full walk, updating lastVpn); every
-                    // same-line follower is then a guaranteed streak.
-                    translatePage(core, fs, addr);
-                    uint64_t reads = 0, writes = 0;
-                    uint32_t j = i;
-                    do {
-                        // Values reaching here: Load/Store (flagged or
-                        // run base), Fp, Other. Bit 0 is the write bit
-                        // of both plain and flagged memory kinds.
-                        const uint8_t k = b.kind[j];
-                        if (k == static_cast<uint8_t>(AccessKind::Fp)) {
-                            retire_fp(b.width[j], b.addr[j]);
-                        } else if (k ==
-                                   static_cast<uint8_t>(
-                                       AccessKind::Other)) {
-                            cc.otherUops += b.addr[j];
-                        } else if (k & 1) {
-                            ++writes;
-                        } else {
-                            ++reads;
-                        }
-                        ++j;
-                    } while (j < end &&
-                             b.kind[j] >=
-                                 static_cast<uint8_t>(AccessKind::Fp));
-                    cc.loadUops += reads;
-                    cc.storeUops += writes;
-                    if (tlbEnabled_)
-                        tlb.countStreakAccesses(reads + writes - 1);
-                    l1->touchRepeatN(fs.wayIdx[static_cast<size_t>(slot)],
-                                     writes, reads);
-                    if (prefetchEnabled_)
-                        l1pf->countObservedN(reads + writes);
-                    if (telem_on) {
-                        ++telem_runs;
-                        telem_run_records += j - i;
+                int slot = fs.find(line);
+                if (slot < 0) {
+                    const size_t way = l1->findWay(line);
+                    if (way == Cache::kNoWay || l1->isPrefetched(way) ||
+                        line == ntCombine_[static_cast<size_t>(core)]) {
+                        const bool write = kind == AccessKind::Store;
+                        if (write)
+                            cc.storeUops += 1;
+                        else
+                            cc.loadUops += 1;
+                        accessLineFull(core, line, write, way);
+                        ++i;
+                        break;
                     }
-                    i = j;
-                    continue;
+                    slot = fs.admit(line, way);
                 }
-                // Single-line but not in the resident filter: the
-                // per-access path's find() would fail identically, so
-                // go straight to the full (miss) path.
-                const bool write = kind == AccessKind::Store;
-                if (write)
-                    cc.storeUops += 1;
-                else
-                    cc.loadUops += 1;
-                accessLineFull(core, line, write);
-                ++i;
-                break;
+                // Resident single-line access: translate the base exactly
+                // as the per-access fast path would (set-MRU streak or
+                // full translation, which leaves the page its set's MRU);
+                // every same-line follower is then a guaranteed streak.
+                translatePage(core, addr);
+                uint64_t reads = 0, writes = 0;
+                uint32_t j = i;
+                do {
+                    // Values reaching here: Load/Store (flagged or run
+                    // base), Fp, Other. Bit 0 is the write bit of both
+                    // plain and flagged memory kinds.
+                    const uint8_t k = b.kind[j];
+                    if (k == static_cast<uint8_t>(AccessKind::Fp)) {
+                        retire_fp(b.width[j], b.addr[j]);
+                    } else if (k == static_cast<uint8_t>(AccessKind::Other)) {
+                        cc.otherUops += b.addr[j];
+                    } else if (k & 1) {
+                        ++writes;
+                    } else {
+                        ++reads;
+                    }
+                    ++j;
+                } while (j < end &&
+                         b.kind[j] >= static_cast<uint8_t>(AccessKind::Fp));
+                cc.loadUops += reads;
+                cc.storeUops += writes;
+                if (tlbEnabled_)
+                    tlb.countStreakAccesses(reads + writes - 1);
+                l1->touchRepeatN(fs.wayIdx[static_cast<size_t>(slot)],
+                                 writes, reads);
+                if (prefetchEnabled_)
+                    l1pf->countObservedN(reads + writes);
+                if (telem_on) {
+                    ++telem_runs;
+                    telem_run_records += j - i;
+                }
+                i = j;
+                continue;
             }
             // Generic delivery, line split precomputed (the body of
             // Machine::load/store with first/last already in hand).
@@ -607,8 +612,8 @@ Machine::flushAllCaches(const std::vector<int> &attribute_cores)
     for (auto &pf : l2pf_)
         pf->reset();
     std::fill(ntCombine_.begin(), ntCombine_.end(), ~0ull);
-    // Caches are empty now; TLB content survives a flush, so the page
-    // memo stays valid.
+    // Caches are empty now; TLB content (and with it the page memo)
+    // survives a flush.
     for (CoreFast &fs : fast_)
         fs.dropAllLines();
 }
@@ -662,10 +667,7 @@ Machine::reset()
 {
     invalidateAllCaches();
     for (auto &tlb : tlbs_)
-        tlb.flush();
-    // The TLBs just dropped every translation: the page memo is stale.
-    for (CoreFast &fs : fast_)
-        fs = CoreFast{};
+        tlb.flush(); // clears the page memo with the translations
     resetStats();
 }
 

@@ -147,15 +147,15 @@ class Machine
     /**
      * Enable/disable the demand-access fast path (default: enabled).
      *
-     * The fast path memoizes the last-translated page and the most
-     * recently hit L1 lines per core so streaks of accesses skip the
-     * TLB arrays and the cache-miss machinery. Every architectural
-     * observable (Snapshot counters, cache/TLB content, replacement
-     * decisions, prefetcher training) is identical with the fast path
-     * on or off — the golden equivalence test enforces this for every
-     * registered kernel. Disabling selects the straight-line reference
-     * path; useful for differential testing and as the baseline of
-     * bench/sim_throughput. See DESIGN.md §7.
+     * The fast path memoizes each L1 DTLB set's most recently used
+     * page and the most recently hit L1 lines per core so streaks of
+     * accesses skip the TLB arrays and the cache-miss machinery. Every
+     * architectural observable (Snapshot counters, cache/TLB content,
+     * replacement decisions, prefetcher training) is identical with the
+     * fast path on or off — the golden equivalence test enforces this
+     * for every registered kernel. Disabling selects the straight-line
+     * reference path; useful for differential testing and as the
+     * baseline of bench/sim_throughput. See DESIGN.md §7.
      */
     void setFastPath(bool enabled);
     bool fastPathEnabled() const { return fastPath_; }
@@ -237,11 +237,15 @@ class Machine
      * Record a full counter Snapshot every @p accesses demand
      * load/store uops. The check runs at batch-drain boundaries — each
      * simulateBatch() consumption — so sample positions quantize to
-     * batch flushes and the per-access hot loop is untouched (the
-     * per-access Direct dispatch never samples). Sampling only *reads*
-     * counters: every architectural observable is bit-identical with
-     * sampling on or off at any period (tests/sim/test_sampling.cc
-     * enforces this for all registered kernels). 0 disables sampling.
+     * batch flushes (a period below one batch is coarsened to one
+     * sample per drain) and the per-access hot loop is untouched (the
+     * per-access Direct dispatch never samples; a batched engine keeps
+     * dependent-chain streams batched while a period is set). Drains
+     * attached sources first, so no buffered access straddles the
+     * switch. Sampling only *reads* counters: every architectural
+     * observable is bit-identical with sampling on or off at any period
+     * (tests/sim/test_sampling.cc enforces this for all registered
+     * kernels). 0 disables sampling.
      * The interval count restarts from the current access total.
      */
     void setSamplePeriod(uint64_t accesses);
@@ -375,8 +379,13 @@ class Machine
      */
     void accessLine(int core, uint64_t line_addr, bool write);
 
-    /** The full (reference) demand-access path. */
-    void accessLineFull(int core, uint64_t line_addr, bool write);
+    /**
+     * The full (reference) demand-access path. @p l1_way is the line's
+     * L1 way slot as Cache::findWay() returned it (Cache::kNoWay on a
+     * miss): the caller checks the tags once and hands the result in.
+     */
+    void accessLineFull(int core, uint64_t line_addr, bool write,
+                        size_t l1_way);
 
     /**
      * Consume records [begin, end) of @p batch, all executing as
@@ -434,7 +443,6 @@ class Machine
     MachineConfig cfg_;
     uint32_t lineBytes_;
     uint32_t lineShift_;        ///< log2(lineBytes_); lines are pow2
-    uint32_t pageShift_;        ///< log2(TLB page size)
     int numCores_;              ///< cfg_.totalCores(), hoisted
     bool tlbEnabled_;           ///< cfg_.tlb.enabled, hoisted
     bool prefetchEnabled_ = true;
@@ -471,12 +479,8 @@ class Machine
     std::vector<uint64_t> ntCombine_;
 
     /**
-     * Per-core fast-path memos (active only while fastPath_ is set).
-     *
-     * lastVpn is the page of this core's most recent TLB translation;
-     * it is updated on every translate() and cleared whenever the TLB
-     * is flushed, so "vpn == lastVpn" proves the translation would hit
-     * the L1 DTLB with zero latency (countStreakAccess()).
+     * Per-core resident-line filter (active only while fastPath_ is
+     * set; the page memo lives in Tlb, see Tlb::isSetMru()).
      *
      * hitLine[] holds recent lines whose demand access hit this core's
      * L1. Entries are dropped whenever anything fills or invalidates a
@@ -490,7 +494,6 @@ class Machine
     struct CoreFast
     {
         static constexpr uint64_t none = ~0ull;
-        uint64_t lastVpn = none;
         uint64_t hitLine[4] = {none, none, none, none};
         /** L1 way slot of each hitLine entry. A resident line never
          * changes ways, so the slot stays valid exactly as long as the
@@ -514,14 +517,17 @@ class Machine
             return -1;
         }
 
-        void
-        noteHit(uint64_t line_addr, size_t way_idx)
+        /** Admit resident line @p line_addr (not in the filter) at L1
+         *  way slot @p way_idx. @return its slot. */
+        int
+        admit(uint64_t line_addr, size_t way_idx)
         {
-            if (find(line_addr) >= 0)
-                return;
-            hitLine[insertAt] = line_addr;
-            wayIdx[insertAt] = way_idx;
-            insertAt = (insertAt + 1) & 3u;
+            const uint32_t slot = insertAt;
+            hitLine[slot] = line_addr;
+            wayIdx[slot] = way_idx;
+            insertAt = (slot + 1) & 3u;
+            lastSlot = slot;
+            return static_cast<int>(slot);
         }
 
         void
@@ -544,12 +550,12 @@ class Machine
 
     /**
      * Translate the page of @p byte_addr for @p core, charging latency
-     * to its counters — skipping the TLB arrays on a same-page streak
-     * (fast path only; see CoreFast::lastVpn). The single definition
-     * keeps the fast and full access paths bit-identical by
+     * to its counters — skipping the TLB arrays when the page is its
+     * DTLB set's MRU (fast path only; see Tlb::isSetMru()). The single
+     * definition keeps the fast and full access paths bit-identical by
      * construction. Defined inline below the class.
      */
-    void translatePage(int core, CoreFast &fs, uint64_t byte_addr);
+    void translatePage(int core, uint64_t byte_addr);
 
     /**
      * Fixed-capacity scratch buffers for prefetch candidates, one per
@@ -588,17 +594,13 @@ class Machine
 // the call site, with no function-call round trip.
 
 inline void
-Machine::translatePage(int core, CoreFast &fs, uint64_t byte_addr)
+Machine::translatePage(int core, uint64_t byte_addr)
 {
-    const uint64_t vpn = byte_addr >> pageShift_;
-    if (fastPath_ && vpn == fs.lastVpn) {
-        if (tlbEnabled_)
-            tlbs_[core].countStreakAccess();
-    } else {
-        const double walk = tlbs_[core].translate(byte_addr);
-        fs.lastVpn = vpn;
-        cores_[core].latencyCycles += walk;
-    }
+    Tlb &tlb = tlbs_[core];
+    if (fastPath_ && tlb.isSetMru(byte_addr))
+        tlb.countStreakAccess();
+    else
+        cores_[core].latencyCycles += tlb.translate(byte_addr);
 }
 
 inline void
@@ -614,7 +616,7 @@ Machine::accessLine(int core, uint64_t line_addr, bool write)
         // invalidation), so this access is a hit and the whole miss
         // machinery can be skipped. Every counter the full path would
         // touch is updated identically; see DESIGN.md §7.
-        translatePage(core, fs, line_addr << lineShift_);
+        translatePage(core, line_addr << lineShift_);
         l1_[core]->touchRepeat(fs.wayIdx[slot], write);
         if (prefetchEnabled_) {
             if (l1pfCheapRepeat_) {
@@ -633,7 +635,7 @@ Machine::accessLine(int core, uint64_t line_addr, bool write)
         }
         return;
     }
-    accessLineFull(core, line_addr, write);
+    accessLineFull(core, line_addr, write, l1_[core]->findWay(line_addr));
 }
 
 inline void

@@ -44,7 +44,8 @@ Tlb::Tlb(const TlbConfig &config)
       l1Sets_(config.l1Entries / config.l1Assoc),
       l2Sets_(config.l2Entries / config.l2Assoc),
       l1Pow2_(std::has_single_bit(l1Sets_)), l1Mask_(l1Sets_ - 1),
-      l1_(config.l1Entries), l2_(config.l2Entries)
+      l1_(config.l1Entries), l2_(config.l2Entries),
+      l1Mru_(l1Sets_, kInvalidVpn)
 {
     config_.validate();
 }
@@ -87,9 +88,12 @@ Tlb::fillLevel(Level &level, uint32_t sets, uint32_t assoc, uint64_t vpn,
 }
 
 double
-Tlb::translateL1Miss(uint64_t vpn)
+Tlb::translateL1Miss(uint64_t vpn, uint32_t set)
 {
     ++stats_.l1Misses;
+    // Either way the page is filled into the L1 DTLB with the newest
+    // stamp of its set.
+    l1Mru_[set] = vpn;
 
     if (lookupLevel(l2_, l2Sets_, config_.l2Assoc, vpn, tick_)) {
         fillLevel(l1_, l1Sets_, config_.l1Assoc, vpn, tick_);
@@ -106,6 +110,7 @@ Tlb::flush()
 {
     std::fill(l1_.vpns.begin(), l1_.vpns.end(), kInvalidVpn);
     std::fill(l2_.vpns.begin(), l2_.vpns.end(), kInvalidVpn);
+    std::fill(l1Mru_.begin(), l1Mru_.end(), kInvalidVpn);
 }
 
 } // namespace rfl::sim

@@ -75,8 +75,9 @@ class Tlb
      * @return extra latency cycles (0 on an L1 DTLB hit).
      *
      * The L1-DTLB-hit path is inline: translate() runs for every
-     * simulated line touch that is not part of a same-page streak, and
-     * the overwhelming majority of those hit the first-level TLB.
+     * simulated line touch whose page is not its set's MRU (see
+     * isSetMru()), and the overwhelming majority of those hit the
+     * first-level TLB.
      */
     double
     translate(uint64_t addr)
@@ -86,26 +87,42 @@ class Tlb
         ++tick_;
         ++stats_.accesses;
         const uint64_t vpn = addr >> pageShift_;
-        const size_t base = l1BaseOf(vpn);
+        const uint32_t set = l1SetOf(vpn);
+        const size_t base = static_cast<size_t>(set) * config_.l1Assoc;
         const uint64_t *vpns = l1_.vpns.data() + base;
         for (uint32_t w = 0; w < config_.l1Assoc; ++w) {
             if (vpns[w] == vpn) {
                 l1_.stamps[base + w] = tick_;
+                l1Mru_[set] = vpn;
                 return 0.0;
             }
         }
-        return translateL1Miss(vpn);
+        return translateL1Miss(vpn, set);
     }
 
     /**
-     * Account one access that is part of a same-page streak: the caller
-     * (Machine's fast path) proved that this TLB is enabled, that this
-     * page was the most recently translated one and that no other
-     * translation has happened since, so the access would hit the L1
-     * DTLB with zero latency. Only the access counter moves; LRU state
-     * is untouched (the streak page already holds the newest stamp, so
-     * relative recency — all the replacement logic ever compares — is
-     * unchanged). See DESIGN.md §7.
+     * @return whether the page of @p addr is the most recently used
+     * entry of its L1 DTLB set: written on every L1 hit and every fill,
+     * cleared by flush(), so a match proves the translation hits the L1
+     * DTLB with zero latency and that the page's entry already holds
+     * the newest stamp of its set. Never true while the TLB is
+     * disabled.
+     */
+    bool
+    isSetMru(uint64_t addr) const
+    {
+        const uint64_t vpn = addr >> pageShift_;
+        return l1Mru_[l1SetOf(vpn)] == vpn;
+    }
+
+    /**
+     * Account one translation of a page that isSetMru(): it hits the
+     * L1 DTLB with zero latency. Only the access counter moves; the
+     * stamp update and the tick are skipped. That is exact because
+     * replacement compares stamps only within one set and the set's
+     * MRU already holds the newest of them, so every comparison comes
+     * out the same (each set has at most one such frozen stamp). See
+     * DESIGN.md §7.
      */
     void countStreakAccess() { ++stats_.accesses; }
 
@@ -147,17 +164,16 @@ class Tlb
     static void fillLevel(Level &level, uint32_t sets, uint32_t assoc,
                           uint64_t vpn, uint64_t tick);
 
-    /** Continue a translation that missed the L1 DTLB (STLB, walk). */
-    double translateL1Miss(uint64_t vpn);
+    /** Continue a translation that missed L1 DTLB set @p set (STLB,
+     *  walk). */
+    double translateL1Miss(uint64_t vpn, uint32_t set);
 
-    /** Flat index of the first way of @p vpn's L1 DTLB set. */
-    size_t
-    l1BaseOf(uint64_t vpn) const
+    /** L1 DTLB set of @p vpn. */
+    uint32_t
+    l1SetOf(uint64_t vpn) const
     {
-        return static_cast<size_t>(
-                   l1Pow2_ ? static_cast<uint32_t>(vpn & l1Mask_)
-                           : static_cast<uint32_t>(vpn % l1Sets_)) *
-               config_.l1Assoc;
+        return l1Pow2_ ? static_cast<uint32_t>(vpn & l1Mask_)
+                       : static_cast<uint32_t>(vpn % l1Sets_);
     }
 
     TlbConfig config_;
@@ -168,6 +184,9 @@ class Tlb
     uint64_t l1Mask_;
     Level l1_;
     Level l2_;
+    /** Per L1 DTLB set: the vpn holding the set's newest stamp, or
+     *  kInvalidVpn (see isSetMru()). */
+    std::vector<uint64_t> l1Mru_;
     TlbStats stats_;
     uint64_t tick_ = 0;
 };

@@ -31,10 +31,15 @@ append(std::string &out, double v, std::chars_format form, int precision)
     out.append(buf, r.ptr);
 }
 
-/** Decimals the exact integer path of appendFixed handles; 10^n is
- *  exact in a double for each of them. */
-constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6};
+/** Powers of ten, each exact in a double. */
+constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                             1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                             1e12, 1e13, 1e14, 1e15};
+/** Decimals the exact integer path of appendFixed handles. */
 constexpr int kMaxFastDecimals = 6;
+
+/** 2^53: every integer below it is a double. */
+constexpr double kExactIntegerBound = 9007199254740992.0;
 
 /** Scaled magnitudes below this take the integer path. It is under
  *  2^52, so every half-integer up to it is a double. */
@@ -86,6 +91,33 @@ appendFixedFast(std::string &out, double v, int decimals)
     return true;
 }
 
+/**
+ * printf("%.*g", @p digits, v) for an integral |v| < 2^53 without the
+ * precision to_chars. "%.Pg" prints a value whose decimal exponent X
+ * is below P in fixed notation with P - 1 - X decimals, then strips
+ * the trailing zeros and the point; an integer below 10^P with P >= 1
+ * therefore prints as its plain digits, sign kept ("-0" included).
+ * Anything else @return false.
+ */
+bool
+appendSigInteger(std::string &out, double v, int digits)
+{
+    if (digits < 1)
+        return false;
+    const double mag = std::fabs(v);
+    const double bound = digits < 16 ? kPow10[digits] : kExactIntegerBound;
+    if (!(mag < bound) || mag != std::floor(mag))
+        return false;
+    char buf[24]; // sign + 16 digits
+    char *p = buf;
+    if (std::signbit(v))
+        *p++ = '-';
+    const std::to_chars_result r = std::to_chars(
+        p, buf + sizeof(buf), static_cast<uint64_t>(mag));
+    out.append(buf, r.ptr);
+    return true;
+}
+
 } // namespace
 
 void
@@ -98,7 +130,8 @@ appendFixed(std::string &out, double v, int decimals)
 void
 appendSig(std::string &out, double v, int digits)
 {
-    append(out, v, std::chars_format::general, digits);
+    if (!appendSigInteger(out, v, digits))
+        append(out, v, std::chars_format::general, digits);
 }
 
 std::string

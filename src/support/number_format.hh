@@ -10,6 +10,8 @@
  * byte-identical to the snprintf calls these replace, at a fraction of
  * their cost and with no locale or stream state involved.
  *
+ * appendSig first prints an integral value below both 2^53 and
+ * 10^digits with integer to_chars (counters and byte totals in JSON).
  * appendFixed with at most 6 decimals (every SVG pixel coordinate)
  * first tries an exact integer path: it scales by 10^n, rounds, and
  * puts the decimal point back. It uses to_chars instead when the

@@ -8,7 +8,8 @@
  * (interval sums equal totals), cache cleanly (round-trip through the
  * JSONL payload, answered from cache on re-run), and flow into the
  * analysis document (analyzeCampaign picks up scenarios, kernel rows
- * and phase rows from one run).
+ * and phase rows from one run). Dependent-chain kernels are sampled
+ * too, with totals equal to an unsampled run.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,10 @@
 #include "campaign/result_cache.hh"
 #include "campaign/serialize.hh"
 #include "campaign/spec.hh"
+#include "kernels/engine.hh"
+#include "kernels/registry.hh"
+#include "sim/machine.hh"
+#include "support/address_arena.hh"
 
 namespace
 {
@@ -215,6 +220,53 @@ TEST(PhaseJobs, AnalyzeCampaignIngestsEverything)
         EXPECT_GT(r.metrics.attainable, 0.0);
     for (const analysis::PhaseRow &r : doc.phases)
         EXPECT_FALSE(r.trajectory.points.empty());
+}
+
+TEST(PhaseJobs, DependentChainIsSampled)
+{
+    // Pointer chasing takes the engine's latency bypass, which skips the
+    // batch drains the sampler checks at: the job used to yield a single
+    // point. While a period is set its records stay batched.
+    const std::string kspec = "pointer-chase:nodes=1024,hops=32768";
+    CampaignSpec spec("phase-chase");
+    spec.addMachine("small", sim::MachineConfig::smallTestMachine());
+    spec.addPhase(kspec, 4096);
+    roofline::MeasureOptions cold;
+    cold.repetitions = 1;
+    cold.cores = {0};
+    spec.addVariant("cold-1c", cold);
+    const CampaignRun run = CampaignExecutor().run(spec);
+    const analysis::PhaseTrajectory &traj = run.phaseTrajectoryFor(0, 0, 0);
+    EXPECT_GT(traj.points.size(), 2u);
+
+    // The same region unsampled (samplePhases' protocol, no period):
+    // sampling only reads counters, so the totals match bit for bit.
+    sim::Machine machine(sim::MachineConfig::smallTestMachine());
+    AddressArena::Scope addresses;
+    const std::unique_ptr<kernels::Kernel> kernel =
+        kernels::createKernel(kspec);
+    ASSERT_TRUE(kernel->dependentAccesses());
+    machine.setDependentAccesses(true);
+    kernel->setLlcHintBytes(machine.config().l3.sizeBytes);
+    kernel->init(cold.seed);
+    machine.reset();
+    machine.flushAllCaches();
+    const sim::Machine::Snapshot start = machine.snapshot();
+    {
+        kernels::SimEngine engine(machine, 0,
+                                  machine.config().core.maxVectorDoubles,
+                                  cold.useFma);
+        kernel->run(engine, 0, 1);
+    }
+    if (cold.flushAfter)
+        machine.flushAllCaches(cold.cores);
+    const sim::Machine::Snapshot total = machine.snapshot() - start;
+    const uint32_t line = machine.config().l1.lineBytes;
+    EXPECT_EQ(traj.totalFlops, static_cast<double>(total.totalFlops()));
+    EXPECT_EQ(traj.totalTrafficBytes,
+              static_cast<double>(total.totalImc().totalBytes(line)));
+    EXPECT_EQ(traj.totalSeconds, machine.regionSeconds(total));
+    EXPECT_GT(traj.totalSeconds, 0.0);
 }
 
 TEST(PhaseSpec, ParserAcceptsPhaseEntries)

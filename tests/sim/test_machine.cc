@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/machine.hh"
+#include "snapshot_text.hh"
+#include "trace/access_batch.hh"
 
 namespace
 {
 
 using namespace rfl::sim;
+using rfl::sim::testing::expectMatchesReference;
+using rfl::trace::AccessBatch;
+using rfl::trace::AccessKind;
 
 /** Machine with prefetchers off so traffic is exactly predictable. */
 MachineConfig
@@ -331,6 +338,97 @@ TEST(MachineFastPath, ToggleSelectsReferencePath)
     EXPECT_EQ(fast.l1(0).stats().readMisses,
               ref.l1(0).stats().readMisses);
     EXPECT_EQ(fast.tlb(0).stats().accesses, ref.tlb(0).stats().accesses);
+}
+
+// --- batched consume: the L1 tag check behind the filter ---
+
+/** One 8-byte access of a batch: (byte address, store?). */
+struct Access
+{
+    uint64_t addr;
+    bool store;
+};
+
+/** Deliver @p accesses to core 0 as one batch, same-line hints set the
+ *  way the engine sets them. */
+void
+simulateAccesses(Machine &m, const std::vector<Access> &accesses)
+{
+    auto batch = std::make_unique<AccessBatch>();
+    uint64_t prev_line = ~0ull;
+    for (const Access &a : accesses) {
+        if (batch->full()) {
+            m.simulateBatch(*batch);
+            batch->clear();
+        }
+        const uint64_t line = a.addr >> 6;
+        batch->pushMem(a.store ? AccessKind::Store : AccessKind::Load, 0,
+                       a.addr, 8, line == prev_line);
+        prev_line = line;
+    }
+    m.simulateBatch(*batch);
+}
+
+TEST(MachineFastPath, RotationOverMoreLinesThanTheFilterMatchesReference)
+{
+    // Six L1-resident lines in rotation overflow the four-entry filter
+    // on every access; each filter miss must find the line by its tag
+    // check and retire it as a hit, exactly as the reference does.
+    const Machine::Snapshot s =
+        expectMatchesReference(quietConfig(), [](Machine &m) {
+            std::vector<Access> accesses;
+            for (int round = 0; round < 20; ++round) {
+                for (uint64_t l = 0; l < 6; ++l) {
+                    const uint64_t base = 0x10000 + l * 64;
+                    accesses.push_back({base, false});
+                    accesses.push_back({base + 8, round % 3 == 0});
+                }
+            }
+            simulateAccesses(m, accesses);
+        });
+    EXPECT_EQ(s.l1[0].readMisses, 6u);
+    EXPECT_EQ(s.l1[0].writeMisses, 0u);
+    EXPECT_EQ(s.l1[0].hits(), 20u * 12 - 6);
+    EXPECT_EQ(s.tlbs[0].accesses, 20u * 12);
+}
+
+TEST(MachineFastPath, PrefetchedLineFirstTouchTakesTheFullPath)
+{
+    // The adjacent-line prefetcher installs line 1 when line 0 misses.
+    // Line 1 is resident but still marked prefetched, so its first
+    // demand touch must count one prefetch hit (the full path); the
+    // touches after it are plain hits.
+    MachineConfig cfg = quietConfig();
+    cfg.l1Prefetcher.kind = PrefetcherKind::NextLine;
+    const Machine::Snapshot s = expectMatchesReference(cfg, [](Machine &m) {
+        simulateAccesses(m, {{0x10000, false},
+                             {0x10040, false},
+                             {0x10048, true},
+                             {0x10000, false},
+                             {0x10040, false}});
+    });
+    EXPECT_EQ(s.l1[0].prefetchFills, 1u);
+    EXPECT_EQ(s.l1[0].prefetchHits, 1u);
+    EXPECT_EQ(s.l1[0].readMisses, 1u);
+    EXPECT_EQ(s.l1[0].hits(), 4u);
+}
+
+TEST(MachineFastPath, NtStoredLineRefetchedByPrefetchMatchesReference)
+{
+    // An NT store leaves its line as the write-combining line. The
+    // prefetcher may bring that line back into L1; the next demand
+    // touch drains the combining buffer, so a later NT store to the
+    // line is a fresh CAS write.
+    MachineConfig cfg = quietConfig();
+    cfg.l1Prefetcher.kind = PrefetcherKind::NextLine;
+    const Machine::Snapshot s = expectMatchesReference(cfg, [](Machine &m) {
+        m.storeNT(0, 0x10040, 8);
+        simulateAccesses(m, {{0x10000, false}, // prefetches 0x10040
+                             {0x10040, false},
+                             {0x10040, false}});
+        m.storeNT(0, 0x10040, 8);
+    });
+    EXPECT_EQ(s.imcs[0].ntWrites, 2u);
 }
 
 TEST(Machine, RegionSecondsPositiveAndFrequencyScaled)

@@ -4,11 +4,13 @@
 
 #include "sim/machine.hh"
 #include "sim/tlb.hh"
+#include "snapshot_text.hh"
 
 namespace
 {
 
 using namespace rfl::sim;
+using rfl::sim::testing::expectMatchesReference;
 
 TlbConfig
 tinyTlb()
@@ -85,6 +87,101 @@ TEST(TlbDeath, BadGeometryIsFatal)
     cfg2.l1Entries = 7;
     cfg2.l1Assoc = 2;
     EXPECT_EXIT(cfg2.validate(), ::testing::ExitedWithCode(1), "fatal");
+}
+
+// --- per-set MRU page memo (Tlb::isSetMru) ---
+
+/** tinyTlb() has 4 L1 DTLB sets of 2 ways: pages p and p + 4 share a
+ *  set, pages p and p + 1 do not. */
+constexpr uint64_t kPage = 4096;
+
+TEST(TlbMemo, EachSetRemembersItsNewestPage)
+{
+    Tlb tlb(tinyTlb());
+    EXPECT_FALSE(tlb.isSetMru(0));
+    tlb.translate(0 * kPage); // set 0: walk + fill
+    tlb.translate(1 * kPage); // set 1
+    EXPECT_TRUE(tlb.isSetMru(0 * kPage + 8));
+    EXPECT_TRUE(tlb.isSetMru(1 * kPage));
+    tlb.translate(4 * kPage); // set 0 again: page 4 is its newest now
+    EXPECT_FALSE(tlb.isSetMru(0));
+    EXPECT_TRUE(tlb.isSetMru(4 * kPage));
+    tlb.translate(0); // an L1 hit moves the memo back
+    EXPECT_TRUE(tlb.isSetMru(0));
+    EXPECT_TRUE(tlb.isSetMru(1 * kPage));
+    EXPECT_EQ(tlb.stats().l1Misses, 3u);
+}
+
+TEST(TlbMemo, FlushClearsTheMemo)
+{
+    Tlb tlb(tinyTlb());
+    tlb.translate(0x5000);
+    ASSERT_TRUE(tlb.isSetMru(0x5000));
+    tlb.flush();
+    EXPECT_FALSE(tlb.isSetMru(0x5000));
+
+    // On a machine a reset flushes the TLB: the next touch walks again,
+    // exactly as in the reference path.
+    MachineConfig cfg = MachineConfig::smallTestMachine();
+    cfg.tlb = tinyTlb();
+    const Machine::Snapshot s = expectMatchesReference(cfg, [](Machine &m) {
+        m.load(0, 0x5000, 8);
+        m.load(0, 0x5008, 8);
+        m.reset();
+        m.load(0, 0x5000, 8);
+    });
+    EXPECT_EQ(s.tlbs[0].walks, 1u);
+}
+
+TEST(TlbMemo, DisabledTlbNeverMatches)
+{
+    TlbConfig cfg = tinyTlb();
+    cfg.enabled = false;
+    Tlb tlb(cfg);
+    tlb.translate(0x5000);
+    EXPECT_FALSE(tlb.isSetMru(0x5000));
+}
+
+TEST(TlbMemo, PagesAlternatingAcrossTwoSetsMatchReference)
+{
+    // The blocked-kernel pattern: an operand page and a packed-panel
+    // page alternate. In different sets both stay their set's MRU.
+    MachineConfig cfg = MachineConfig::smallTestMachine();
+    cfg.tlb = tinyTlb();
+    const Machine::Snapshot s = expectMatchesReference(cfg, [](Machine &m) {
+        for (uint64_t i = 0; i < 64; ++i) {
+            m.load(0, 0 * kPage + i * 64, 8);
+            m.load(0, 1 * kPage + i * 64, 8);
+        }
+    });
+    EXPECT_EQ(s.tlbs[0].accesses, 128u);
+    EXPECT_EQ(s.tlbs[0].l1Misses, 2u);
+}
+
+TEST(TlbMemo, PagesAlternatingWithinOneSetMatchReference)
+{
+    // Pages 0 and 4 share a 2-way set: each access finds the other page
+    // as the set's MRU and takes the full translation. Page 8 then
+    // evicts the set's LRU page, which must be the one touched first,
+    // so a stale stamp on either page would evict the wrong one and
+    // make the last loop miss where the reference hits.
+    MachineConfig cfg = MachineConfig::smallTestMachine();
+    cfg.tlb = tinyTlb();
+    const Machine::Snapshot s = expectMatchesReference(cfg, [](Machine &m) {
+        for (int round = 0; round < 3; ++round) {
+            for (uint64_t i = 0; i < 16; ++i) {
+                m.load(0, 0 * kPage + i * 64, 8);
+                m.load(0, 4 * kPage + i * 64, 8);
+                m.load(0, 0 * kPage + i * 64 + 8, 8);
+            }
+            m.load(0, 8 * kPage, 8); // evicts page 4 (LRU)
+            for (uint64_t i = 0; i < 4; ++i)
+                m.load(0, 0 * kPage + i * 64, 8);
+        }
+    });
+    // Three rounds of {0, 4, 8} in a 2-way set: pages 4 and 8 miss on
+    // each return, page 0 never after its first touch.
+    EXPECT_EQ(s.tlbs[0].l1Misses, 7u);
 }
 
 TEST(MachineTlb, PageStridedAccessesPayWalks)

@@ -216,6 +216,43 @@ TEST(NumberFormat, IntegerPathNearTiesAndBoundMatchPrintf)
     EXPECT_EQ(fixedText(-0.05, 1), "-0.1");
 }
 
+TEST(NumberFormat, IntegerSigPathMatchesPrintf)
+{
+    // appendSig prints an integral |v| below 2^53 and 10^digits with
+    // integer to_chars. Probe zeros, the 2^53 bound, powers of ten on
+    // both sides of each precision's switch to exponent form, and
+    // random integers of every magnitude.
+    const double two53 = 9007199254740992.0;
+    std::vector<double> values = {0.0,       1.0,  two53 - 1,
+                                  two53,     two53 + 2,
+                                  1e16,      1e17, 123456789.0,
+                                  1e15 - 1,  1e15, 1e15 + 1};
+    for (int e = 0; e <= 17; ++e) {
+        const double p = std::pow(10.0, e);
+        values.push_back(p);
+        values.push_back(p - 1);
+        values.push_back(p + 1);
+    }
+    Rng rng(7);
+    for (int i = 0; i < 100000; ++i) {
+        // Uniform over bit lengths, so small integers are common too.
+        const uint64_t shift = rng.nextBounded(64);
+        const uint64_t bits = rng.next() >> shift;
+        values.push_back(static_cast<double>(bits & ((1ull << 53) - 1)));
+    }
+    int failures = 0;
+    for (double v : values) {
+        for (int d = 1; d <= kRoundTripDigits; ++d) {
+            check(v, false, d, failures);
+            check(-v, false, d, failures);
+        }
+    }
+    EXPECT_EQ(failures, 0);
+    std::string out;
+    appendSig(out, -0.0, kRoundTripDigits);
+    EXPECT_EQ(out, "-0");
+}
+
 TEST(NumberFormat, StreamDigitsMatchOstreamDefault)
 {
     Rng rng(42);
